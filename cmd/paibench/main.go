@@ -22,8 +22,8 @@
 //	         [-retries N] [flags]
 //	paibench -coordinate ADDR -trace FILE [-workers N] [-slow N]
 //	         [-slow-delay D] [-microshard G] [-shard-timeout D] [flags]
-//	paibench -worker HOST:PORT [-fail-after N]
-//	paibench -worker HOST:PORT -steal [-hint JOBS_PER_SEC] [-slow-delay D]
+//	paibench -worker HOST:PORT [-hint JOBS_PER_SEC] [-fail-after N]
+//	         [-slow-delay D]
 //
 // With -shards N the trace is split into N generator partitions drained
 // concurrently by independent worker sets into per-shard accumulators and
@@ -52,18 +52,19 @@
 // -fidelity-only).
 //
 // Networked coordination replaces the snapshot files with TCP:
-// `-coordinate ADDR` listens, hands one shard assignment at a time to every
-// connected worker, streams each worker's snapshot back over the
-// connection, and folds them exactly like -merge. `-workers N` spawns N
-// local worker processes for the zero-config single-machine path;
-// `-worker HOST:PORT` connects out from any machine. A worker that dies
-// mid-shard (or exceeds -shard-timeout) has its shard requeued to another
-// worker, up to -retries attempts per shard; provenance carried in every
-// snapshot guards the fold against duplicates and foreign runs, so the
-// retried merged result is still byte-identical to the single-process
-// -shards M -full run. -chaos N gives the first N spawned workers
-// -fail-after, which hard-exits the worker (exit 137, the kill -9 status)
-// mid-shard — the failure-injection smoke CI runs on every push.
+// `-coordinate ADDR` listens and serves the M shards as an M-cell grid:
+// each connected worker pulls a contiguous range of shards, streams one
+// snapshot per shard back over the connection, and the coordinator folds
+// them exactly like -merge. `-workers N` spawns N local worker processes
+// for the zero-config single-machine path; `-worker HOST:PORT` connects out
+// from any machine. A worker that dies mid-range (or delivers no shard for
+// -shard-timeout) has the rest of its range requeued to other workers, up
+// to -retries attempts per shard; provenance carried in every snapshot
+// guards the fold against duplicates and foreign runs, so the retried
+// merged result is still byte-identical to the single-process -shards M
+// -full run. -chaos N gives the first N spawned workers -fail-after, which
+// hard-exits the worker (exit 137, the kill -9 status) mid-shard — the
+// failure-injection smoke CI runs on every push.
 //
 // -full runs the same full report sink in a single process, adding the
 // cdf/projection sections to the result JSON; the timing gates of CI use
@@ -90,19 +91,19 @@
 // golden baseline gates).
 //
 // -coordinate ADDR -trace FILE distributes the same partition grid over
-// work-stealing range workers (-worker HOST:PORT -steal): the coordinator
-// hands each worker a contiguous cell range sized by its advertised
-// -hint throughput (even split when any worker abstains), workers stream
-// one snapshot per cell back as it completes, and a worker that makes no
-// progress for -shard-timeout has its unfinished tail re-split and
-// reassigned to faster workers. At-most-once folding plus cell-order
-// merge keep the final result byte-identical to the single-process
-// -trace -par-file run at the same -microshard grain, no matter how
-// cells were distributed, stolen, or retried. -slow N makes N spawned
-// workers deliberate stragglers (sleeping -slow-delay before every cell
-// after their first) — the steal-injection smoke CI runs; the result
-// JSON reports micro_shards, micro_shard_assignments, stolen_cells,
-// resplits and coord_workers.
+// the same workers (-worker HOST:PORT; one worker mode serves both grids,
+// told apart by the payload's version tag): the coordinator hands each
+// worker a contiguous cell range sized by its advertised -hint throughput
+// (even split when any worker abstains), workers stream one snapshot per
+// cell back as it completes, and a worker that makes no progress for
+// -shard-timeout has its unfinished tail re-split and reassigned to faster
+// workers. At-most-once folding plus cell-order merge keep the final
+// result byte-identical to the single-process -trace -par-file run at the
+// same -microshard grain, no matter how cells were distributed, stolen, or
+// retried. -slow N makes N spawned workers deliberate stragglers (sleeping
+// -slow-delay before every cell after their first) — the steal-injection
+// smoke CI runs; the result JSON reports micro_shards,
+// micro_shard_assignments, stolen_cells, resplits and coord_workers.
 //
 // -replay switches from infinite-capacity evaluation to discrete-event
 // cluster replay: the -trace stream is scheduled onto -servers servers under
@@ -454,21 +455,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	chaos := fs.Int("chaos", 0,
 		"with -coordinate -workers: give this many spawned workers -fail-after, so they die mid-shard (failure-injection smoke)")
 	workerAddr := fs.String("worker", "",
-		"network worker mode: connect to a coordinator at HOST:PORT and evaluate assigned shards until the run completes")
-	steal := fs.Bool("steal", false,
-		"with -worker: serve work-stealing micro-shard range assignments (the worker half of -coordinate -trace; implied for its spawned local workers)")
+		"network worker mode: connect to a coordinator at HOST:PORT and evaluate every cell of the ranges it hands out — -shards partitions or -trace micro-shards, as its payload says — until the run completes")
 	hint := fs.Float64("hint", 0,
-		"with -worker -steal: advertised jobs/sec throughput for capacity-weighted range sizing (0 = unknown, even split)")
+		"with -worker: advertised jobs/sec throughput for capacity-weighted range sizing (0 = unknown, even split)")
 	slow := fs.Int("slow", 0,
 		"with -coordinate -trace -workers: make this many spawned workers deliberate stragglers (-slow-delay before every cell after their first), so their in-flight ranges are stolen (steal-injection smoke)")
 	slowDelay := fs.Duration("slow-delay", 0,
-		"with -worker -steal: sleep this long before every cell after the process's first (deliberate straggler); with -coordinate -trace, the delay handed to -slow workers (default 2s)")
+		"with -worker: sleep this long before every cell after the process's first (deliberate straggler); with -coordinate -trace, the delay handed to -slow workers (default 2s)")
 	failAfter := fs.Int("fail-after", 0,
-		"with -worker: hard-exit (code 137, like kill -9) after evaluating this many jobs of an assignment; with -coordinate, the value handed to -chaos workers (default 500)")
+		"with -worker: hard-exit (code 137, like kill -9) after evaluating this many jobs of a shard; with -coordinate, the value handed to -chaos workers (default 500)")
 	shardTimeout := fs.Duration("shard-timeout", 2*time.Minute,
-		"with -coordinate: per-shard attempt deadline before the shard is requeued to another worker; with -coordinate -trace, the per-cell progress deadline before a straggler's in-flight tail is re-split and stolen (0 = none)")
+		"with -coordinate: per-cell progress deadline (a cell is one shard, or one -trace micro-shard); a worker that delivers no cell for this long loses the rest of its range, which is re-split and stolen by other workers (0 = none)")
 	retries := fs.Int("retries", 3,
-		"with -coordinate: per-shard assignment budget, first attempt included")
+		"with -coordinate: per-cell assignment budget, first attempt included")
 	out := fs.String("o", "", "result JSON file (default stdout)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
@@ -518,13 +517,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if fs.NArg() > 0 {
 			return fmt.Errorf("unexpected arguments %q in worker mode", fs.Args())
 		}
-		if *steal {
-			return runRangeWorkerMode(*workerAddr, *hint, *slowDelay, stderr)
-		}
-		return runWorkerMode(*workerAddr, *failAfter, stderr)
-	}
-	if *steal {
-		return fmt.Errorf("-steal is worker mode; it requires -worker")
+		return runWorkerMode(*workerAddr, *hint, *failAfter, *slowDelay, stderr)
 	}
 	if *merge {
 		return runMerge(fs.Args(), *seed, *out, stdout, stderr)
@@ -1373,12 +1366,41 @@ func parsePayload(p []byte) (config, error) {
 	return cfg, nil
 }
 
-// runWorkerMode is network worker mode: connect to the coordinator,
-// reconstitute the run from each assignment's payload, evaluate the
-// assigned partition through the full report sink, and stream the snapshot
-// back. failAfter > 0 arms chaos injection (see killSource).
-func runWorkerMode(addr string, failAfter int, stderr io.Writer) error {
+// runWorkerMode is network worker mode (-worker ADDR): connect, advertise
+// the throughput hint, and evaluate every cell of every range the
+// coordinator hands out, streaming each cell's snapshot back the moment it
+// completes. failAfter > 0 arms chaos injection in shard cells (see
+// killSource); slowDelay > 0 makes this worker a deliberate straggler that
+// sleeps that long before every cell after the process's first, so the
+// coordinator's per-cell deadline steals its in-flight tail (the e2e steal
+// smoke).
+func runWorkerMode(addr string, hint float64, failAfter int, slowDelay time.Duration, stderr io.Writer) error {
+	ran := false
 	runner := func(ctx context.Context, a pai.ShardAssignment) (pai.Sink, string, int, error) {
+		if slowDelay > 0 && ran {
+			time.Sleep(slowDelay)
+		}
+		ran = true
+		start := time.Now()
+		sink, meta, n, err := evaluateCell(ctx, a, failAfter, stderr)
+		if err != nil {
+			return nil, "", 0, err
+		}
+		fmt.Fprintf(stderr, "paibench worker: cell %d/%d attempt %d: %d jobs in %.2fs\n",
+			a.Index, a.Shards, a.Attempt, n, time.Since(start).Seconds())
+		return sink, meta, n, nil
+	}
+	fmt.Fprintf(stderr, "paibench: worker connecting to %s\n", addr)
+	return pai.ServeShardWorker(context.Background(), addr, hint, runner)
+}
+
+// evaluateCell reconstitutes the run an assignment's payload describes and
+// folds the assigned cell through the full report sink. The payload's
+// version tag picks the grid: one of the -shards partitions of a generated
+// trace, or one micro-shard cell of a recorded -trace file.
+func evaluateCell(ctx context.Context, a pai.ShardAssignment, failAfter int, stderr io.Writer) (pai.Sink, string, int, error) {
+	switch tag, _, _ := strings.Cut(string(a.Payload), " "); tag {
+	case coordPayloadVersion:
 		cfg, err := parsePayload(a.Payload)
 		if err != nil {
 			return nil, "", 0, err
@@ -1392,7 +1414,6 @@ func runWorkerMode(addr string, failAfter int, stderr io.Writer) error {
 		if err != nil {
 			return nil, "", 0, err
 		}
-		start := time.Now()
 		sink, counts, _, err := stream(eng, cfg, stderr)
 		if err != nil {
 			return nil, "", 0, err
@@ -1401,12 +1422,33 @@ func runWorkerMode(addr string, failAfter int, stderr io.Writer) error {
 		for _, c := range counts {
 			n += c
 		}
-		fmt.Fprintf(stderr, "paibench worker: shard %d/%d attempt %d: %d jobs in %.2fs\n",
-			a.Index, a.Shards, a.Attempt, n, time.Since(start).Seconds())
 		return sink, shardMeta(cfg), n, nil
+	case coordTracePayloadVersion:
+		cfg, err := parseTracePayload(a.Payload)
+		if err != nil {
+			return nil, "", 0, err
+		}
+		eng, err := newEngine(cfg)
+		if err != nil {
+			return nil, "", 0, err
+		}
+		f, ir, err := openIndexedTrace(cfg.tracePath)
+		if err != nil {
+			return nil, "", 0, err
+		}
+		defer f.Close()
+		if cells := len(ir.Index().Partition(cfg.grain)); cells != a.Shards {
+			return nil, "", 0, fmt.Errorf("%s yields a %d-cell grid at grain %d, assignment names %d", cfg.tracePath, cells, cfg.grain, a.Shards)
+		}
+		factory := func() (pai.Sink, error) { return eng.NewReportSink(pai.ToAllReduceLocal) }
+		sink, n, err := eng.EvaluateIndexedCell(ctx, ir, cfg.grain, a.Index, factory)
+		if err != nil {
+			return nil, "", 0, err
+		}
+		return sink, pai.ShardSnapshotMeta(traceMetaBase(cfg), a.Index), n, nil
+	default:
+		return nil, "", 0, fmt.Errorf("assignment payload is neither %q nor %q", coordPayloadVersion, coordTracePayloadVersion)
 	}
-	fmt.Fprintf(stderr, "paibench: worker connecting to %s\n", addr)
-	return pai.ServeShardWorker(context.Background(), addr, runner)
 }
 
 // syncWriter serializes writes from the coordinator's own logging and the
@@ -1422,43 +1464,13 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-// runCoordinate is network coordinator mode: listen, optionally spawn local
-// worker processes (the zero-config path), hand out the cfg.shards
-// partitions, fold the returned snapshots — retrying shards lost to worker
-// death or the per-shard deadline — and emit the same full result JSON a
-// -merge run produces.
-func runCoordinate(cfg config, addr string, workers, chaos, chaosFailAfter int, shardTimeout time.Duration, retries int, out string, stdout, stderr io.Writer) error {
-	sw := &syncWriter{w: stderr}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-	fmt.Fprintf(sw, "paibench: coordinating %d shard(s) on %s (%d local worker(s), %d chaos)\n",
-		cfg.shards, ln.Addr(), workers, chaos)
-
+// coordinateGrid is the body both coordinator modes share: optionally spawn
+// local worker processes on ln (workerArgs gives spawned worker i its extra
+// flags), serve the cells-wide grid carrying payload, and fold the returned
+// cell snapshots — retrying cells lost to worker death or the per-cell
+// deadline — onto the report sink the single-process run folds into.
+func coordinateGrid(cfg config, ln net.Listener, workers int, workerArgs func(i int) []string, cells int, payload []byte, base string, timeout time.Duration, retries int, sw io.Writer) (pai.Sink, pai.CoordinatorStats, error) {
 	var cmds []*exec.Cmd
-	if workers > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return err
-		}
-		for i := 0; i < workers; i++ {
-			wargs := []string{"-worker", ln.Addr().String()}
-			if i < chaos {
-				wargs = append(wargs, "-fail-after", strconv.Itoa(chaosFailAfter))
-			}
-			cmd := exec.Command(exe, wargs...)
-			cmd.Stderr = sw
-			// The marker lets a test binary recognize it was re-executed as
-			// a worker; the real paibench binary ignores it.
-			cmd.Env = append(os.Environ(), "PAIBENCH_EXEC_WORKER=1")
-			if err := cmd.Start(); err != nil {
-				return fmt.Errorf("spawn worker %d: %w", i, err)
-			}
-			cmds = append(cmds, cmd)
-		}
-	}
 	defer func() {
 		// Chaos workers are already dead (exit 137) and healthy ones exit
 		// after the coordinator's done message or connection close; the
@@ -1468,18 +1480,35 @@ func runCoordinate(cfg config, addr string, workers, chaos, chaosFailAfter int, 
 			cmd.Wait()
 		}
 	}()
+	if workers > 0 {
+		exe, err := os.Executable()
+		if err != nil {
+			return nil, pai.CoordinatorStats{}, err
+		}
+		for i := 0; i < workers; i++ {
+			cmd := exec.Command(exe, append([]string{"-worker", ln.Addr().String()}, workerArgs(i)...)...)
+			cmd.Stderr = sw
+			// The marker lets a test binary recognize it was re-executed as
+			// a worker; the real paibench binary ignores it.
+			cmd.Env = append(os.Environ(), "PAIBENCH_EXEC_WORKER=1")
+			if err := cmd.Start(); err != nil {
+				return nil, pai.CoordinatorStats{}, fmt.Errorf("spawn worker %d: %w", i, err)
+			}
+			cmds = append(cmds, cmd)
+		}
+	}
 
 	// The coordinator evaluates nothing itself, but folding through the
 	// same report-sink factory the single-process run uses pins the fold
 	// base to the expected sink shape.
 	eng, err := newEngine(cfg)
 	if err != nil {
-		return err
+		return nil, pai.CoordinatorStats{}, err
 	}
 	opts := pai.CoordinatorOptions{
-		ShardTimeout: shardTimeout,
+		ShardTimeout: timeout,
 		MaxAttempts:  retries,
-		Provenance:   shardMetaBase(cfg),
+		Provenance:   base,
 		// Spawn-local workers must connect promptly, so arm the stall
 		// detector from the start: if they all die before (or after)
 		// dialing in, the run fails at -shard-timeout instead of hanging.
@@ -1487,8 +1516,30 @@ func runCoordinate(cfg config, addr string, workers, chaos, chaosFailAfter int, 
 		NewSink:       func() (pai.Sink, error) { return eng.NewReportSink(pai.ToAllReduceLocal) },
 		Logf:          func(format string, args ...any) { fmt.Fprintf(sw, format+"\n", args...) },
 	}
+	sink, _, stats, err := pai.CoordinateShards(context.Background(), ln, cells, payload, opts)
+	return sink, stats, err
+}
+
+// runCoordinate is network coordinator mode over the cfg.shards partitions
+// of a generated trace — an N-cell grid, one cell per shard — emitting the
+// same full result JSON a -merge run produces.
+func runCoordinate(cfg config, addr string, workers, chaos, chaosFailAfter int, shardTimeout time.Duration, retries int, out string, stdout, stderr io.Writer) error {
+	sw := &syncWriter{w: stderr}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
+	fmt.Fprintf(sw, "paibench: coordinating %d shard(s) on %s (%d local worker(s), %d chaos)\n",
+		cfg.shards, ln.Addr(), workers, chaos)
+	chaosArgs := func(i int) []string {
+		if i < chaos {
+			return []string{"-fail-after", strconv.Itoa(chaosFailAfter)}
+		}
+		return nil
+	}
 	start := time.Now()
-	sink, _, err := pai.CoordinateShards(context.Background(), ln, cfg.shards, encodePayload(cfg), opts)
+	sink, _, err := coordinateGrid(cfg, ln, workers, chaosArgs, cfg.shards, encodePayload(cfg), shardMetaBase(cfg), shardTimeout, retries, sw)
 	if err != nil {
 		return err
 	}
@@ -1507,9 +1558,9 @@ func runCoordinate(cfg config, addr string, workers, chaos, chaosFailAfter int, 
 	return nil
 }
 
-// coordTracePayloadVersion tags the range-assignment payload of the
-// work-stealing trace mode; workers from a different release (or handed a
-// static-shard payload) refuse the run.
+// coordTracePayloadVersion tags the assignment payload of the trace grid
+// (-coordinate -trace); a worker dispatches on it, and one from a different
+// release refuses the run.
 const coordTracePayloadVersion = "paibench/coord-trace/1"
 
 // defaultSlowDelay is the straggler injection handed to -slow workers when
@@ -1596,59 +1647,9 @@ func openIndexedTrace(path string) (*os.File, *pai.ColumnIndexedReader, error) {
 	return f, ir, nil
 }
 
-// runRangeWorkerMode is the work-stealing worker (-worker ADDR -steal):
-// connect, advertise the throughput hint, and for every assigned cell range
-// fold each cell of the trace's partition grid into its own full report
-// sink, streaming one snapshot per cell back the moment it completes.
-// slowDelay > 0 makes this worker a deliberate straggler: it sleeps that
-// long before every cell after the process's first, so the coordinator's
-// per-cell deadline steals its in-flight tail (the e2e steal smoke).
-func runRangeWorkerMode(addr string, hint float64, slowDelay time.Duration, stderr io.Writer) error {
-	sawFirst := false
-	runner := func(ctx context.Context, a pai.MicroShardAssignment, emit func(cell int, sink pai.Sink, meta string, jobs int) error) error {
-		cfg, err := parseTracePayload(a.Payload)
-		if err != nil {
-			return err
-		}
-		eng, err := newEngine(cfg)
-		if err != nil {
-			return err
-		}
-		f, ir, err := openIndexedTrace(cfg.tracePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if n := len(ir.Index().Partition(cfg.grain)); n != a.Cells {
-			return fmt.Errorf("%s yields a %d-cell grid at grain %d, assignment names %d", cfg.tracePath, n, cfg.grain, a.Cells)
-		}
-		base := traceMetaBase(cfg)
-		factory := func() (pai.Sink, error) { return eng.NewReportSink(pai.ToAllReduceLocal) }
-		for cell := a.Lo; cell < a.Hi; cell++ {
-			if slowDelay > 0 && sawFirst {
-				time.Sleep(slowDelay)
-			}
-			sawFirst = true
-			start := time.Now()
-			sink, n, err := eng.EvaluateIndexedCell(ctx, ir, cfg.grain, cell, factory)
-			if err != nil {
-				return err
-			}
-			if err := emit(cell, sink, pai.ShardSnapshotMeta(base, cell), n); err != nil {
-				return err
-			}
-			fmt.Fprintf(stderr, "paibench worker: cell %d/%d attempt %d: %d jobs in %.2fs\n",
-				cell, a.Cells, a.Attempt, n, time.Since(start).Seconds())
-		}
-		return nil
-	}
-	fmt.Fprintf(stderr, "paibench: range worker connecting to %s\n", addr)
-	return pai.ServeMicroShardWorker(context.Background(), addr, hint, runner)
-}
-
 // runCoordinateTrace is the work-stealing coordinator (-coordinate -trace):
 // partition the trace's block index into micro-shard cells, serve
-// capacity-sized cell ranges to range workers, steal stalled tails past the
+// capacity-sized cell ranges to workers, steal stalled tails past the
 // per-cell deadline, and fold the per-cell snapshots in cell order — the
 // merged result is byte-identical to the single-process
 // `-trace FILE -par-file N` run over the same grain, no matter how cells
@@ -1671,48 +1672,14 @@ func runCoordinateTrace(cfg config, addr string, workers, slow int, slowDelay ti
 	defer ln.Close()
 	fmt.Fprintf(sw, "paibench: coordinating %d micro-shard(s) of %s on %s (%d local worker(s), %d slow)\n",
 		cells, cfg.tracePath, ln.Addr(), workers, slow)
-
-	var cmds []*exec.Cmd
-	if workers > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return err
+	slowArgs := func(i int) []string {
+		if i < slow {
+			return []string{"-slow-delay", slowDelay.String()}
 		}
-		for i := 0; i < workers; i++ {
-			wargs := []string{"-worker", ln.Addr().String(), "-steal"}
-			if i < slow {
-				wargs = append(wargs, "-slow-delay", slowDelay.String())
-			}
-			cmd := exec.Command(exe, wargs...)
-			cmd.Stderr = sw
-			cmd.Env = append(os.Environ(), "PAIBENCH_EXEC_WORKER=1")
-			if err := cmd.Start(); err != nil {
-				return fmt.Errorf("spawn worker %d: %w", i, err)
-			}
-			cmds = append(cmds, cmd)
-		}
-	}
-	defer func() {
-		for _, cmd := range cmds {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
-	}()
-
-	eng, err := newEngine(cfg)
-	if err != nil {
-		return err
-	}
-	opts := pai.MicroShardOptions{
-		CellTimeout:   cellTimeout,
-		MaxAttempts:   retries,
-		Provenance:    traceMetaBase(cfg),
-		ExpectWorkers: workers > 0,
-		NewSink:       func() (pai.Sink, error) { return eng.NewReportSink(pai.ToAllReduceLocal) },
-		Logf:          func(format string, args ...any) { fmt.Fprintf(sw, format+"\n", args...) },
+		return nil
 	}
 	start := time.Now()
-	sink, _, stats, err := pai.CoordinateMicroShards(context.Background(), ln, cells, encodeTracePayload(cfg), opts)
+	sink, stats, err := coordinateGrid(cfg, ln, workers, slowArgs, cells, encodeTracePayload(cfg), traceMetaBase(cfg), cellTimeout, retries, sw)
 	if err != nil {
 		return err
 	}

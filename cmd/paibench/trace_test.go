@@ -293,3 +293,53 @@ func TestCoordinateTraceStealsFromStraggler(t *testing.T) {
 		t.Errorf("projection section differs:\ncoordinated: %+v\nsingle: %+v", coordRes.Projection, single.Projection)
 	}
 }
+
+// TestCoordinateTraceFineGrid: a grid with more cells than the range frame
+// has bytes after its cell count — 25k jobs in 64-record blocks at a
+// 64-record grain, about 391 cells — must still reach the workers (grid
+// sizes on the wire are scalars, not lengths) and fold to the
+// single-process -par-file result.
+func TestCoordinateTraceFineGrid(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	trace := writeColbinTrace(t, 25000, 0, 13, 64, false)
+	coordPath := filepath.Join(t.TempDir(), "coord.json")
+	var out, errw bytes.Buffer
+	err := run([]string{
+		"-trace", trace, "-microshard", "64",
+		"-coordinate", "127.0.0.1:0", "-workers", "2",
+		"-shard-timeout", "30s", "-o", coordPath,
+	}, &out, &errw)
+	if err != nil {
+		t.Fatalf("coordinate run: %v\nstderr:\n%s", err, errw.String())
+	}
+	var coordRes Result
+	b, err := os.ReadFile(coordPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &coordRes); err != nil {
+		t.Fatal(err)
+	}
+	single := runToFile(t, []string{"-trace", trace, "-par-file", "2", "-microshard", "64", "-full"})
+
+	// The frame carries the provenance base and the payload after the
+	// grid fields; the grid must be wider than both together.
+	cfg := config{tracePath: trace, grain: 64, par: runtime.NumCPU(), backendName: "analytical"}
+	if tail := len(traceMetaBase(cfg)) + len(encodeTracePayload(cfg)); coordRes.MicroShards <= tail {
+		t.Errorf("micro_shards = %d, want more cells than the frame's %d trailing bytes", coordRes.MicroShards, tail)
+	}
+	if coordRes.Jobs != 25000 {
+		t.Fatalf("coordinated jobs = %d, want 25000", coordRes.Jobs)
+	}
+	if !reflect.DeepEqual(coordRes.Fidelity, single.Fidelity) {
+		t.Errorf("fidelity differs:\ncoordinated: %+v\nsingle: %+v", coordRes.Fidelity, single.Fidelity)
+	}
+	if coordRes.CDF == nil || single.CDF == nil || !reflect.DeepEqual(*coordRes.CDF, *single.CDF) {
+		t.Errorf("cdf section differs:\ncoordinated: %+v\nsingle: %+v", coordRes.CDF, single.CDF)
+	}
+	if coordRes.Projection == nil || single.Projection == nil || !reflect.DeepEqual(*coordRes.Projection, *single.Projection) {
+		t.Errorf("projection section differs:\ncoordinated: %+v\nsingle: %+v", coordRes.Projection, single.Projection)
+	}
+}

@@ -664,14 +664,14 @@ func (e *Engine) NewReportSink(target ProjectionTarget) (*MultiSink, error) {
 }
 
 // ShardSources builds the job source for one shard assignment — the
-// caller's mapping from a coordinator's shard grid position to the jobs of
-// that partition (a trace-file decoder, a generator partition, a slice).
-// It is called once per assignment, so retried shards get a fresh source.
+// caller's mapping from a coordinator's grid position to the jobs of that
+// partition (a trace-file decoder, a generator partition, a slice). It is
+// called once per assigned cell, so retried shards get a fresh source.
 type ShardSources func(a ShardAssignment) (JobSource, error)
 
 // ShardRunner adapts the engine into the worker side of networked
-// distributed evaluation: each assignment streams the partition built by
-// sources through the engine's evaluator (cache included) into a fresh
+// distributed evaluation: each assigned shard streams the partition built
+// by sources through the engine's evaluator (cache included) into a fresh
 // sink built by factory, stamped with the assignment's provenance.
 func (e *Engine) ShardRunner(sources ShardSources, factory func() (Sink, error)) DistributedRunner {
 	return func(ctx context.Context, a ShardAssignment) (Sink, string, int, error) {
@@ -706,16 +706,16 @@ func (e *Engine) DistributedWorker(ctx context.Context, addr string, sources Sha
 	if _, err := e.evaluator(); err != nil {
 		return err
 	}
-	return coord.Work(ctx, addr, e.ShardRunner(sources, factory))
+	return coord.Work(ctx, addr, 0, e.ShardRunner(sources, factory))
 }
 
 // EvaluateDistributed is the networked EvaluateSourcesInto: the engine acts
-// as coordinator on ln, hands each of the `shards` partitions to a
-// connected worker, streams the per-shard sink snapshots back over TCP, and
-// folds them in shard-index order with the exact Merge — byte-identical to
-// the in-process EvaluateSourcesInto over the same partitions, even when a
-// worker dies mid-shard and the shard is retried elsewhere (set
-// opts.ShardTimeout so hung workers are abandoned).
+// as coordinator on ln over a `shards`-cell grid, connected workers pull
+// ranges of shards, stream the per-shard sink snapshots back over TCP, and
+// the coordinator folds them in shard-index order with the exact Merge —
+// byte-identical to the in-process EvaluateSourcesInto over the same
+// partitions, even when a worker dies mid-range and its shards are retried
+// elsewhere (set opts.ShardTimeout so hung workers are abandoned).
 //
 // localWorkers > 0 spawns that many in-process worker loops dialing ln's
 // address — the zero-config path — and arms the coordinator's stall
@@ -758,11 +758,11 @@ func (e *Engine) EvaluateDistributed(ctx context.Context, ln net.Listener, shard
 				// Worker teardown at end of run (coordinator closes the
 				// connection) is expected; real shard failures surface
 				// through the coordinator's retry accounting instead.
-				_ = coord.Work(ctx, addr, runner)
+				_ = coord.Work(ctx, addr, 0, runner)
 			}()
 		}
 	}
-	sink, counts, err := coord.Run(ctx, ln, shards, nil, o)
+	sink, counts, _, err := coord.Run(ctx, ln, shards, nil, o)
 	wg.Wait()
 	return sink, counts, err
 }

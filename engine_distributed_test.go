@@ -145,3 +145,49 @@ func TestDistributedWorkerConnectOut(t *testing.T) {
 		t.Error("connect-out snapshot is not byte-identical to the in-process sharded run")
 	}
 }
+
+// TestEvaluateDistributedManyShards: a grid wider than the bytes that
+// follow its size in an assignment frame — six shards, no provenance, no
+// payload — must still reach the workers and fold byte-identically to the
+// in-process sharded run.
+func TestEvaluateDistributedManyShards(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	eng, err := pai.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards = 6
+	params := distTraceParams(shards, 150)
+	factory := func() (pai.Sink, error) { return pai.NewBreakdownAccumulator(), nil }
+
+	srcs := make([]pai.JobSource, shards)
+	for i := range srcs {
+		src, err := pai.NewTraceSource(params[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[i] = src
+	}
+	direct, directCounts, err := eng.EvaluateSourcesInto(ctx, factory, srcs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, distCounts, err := eng.EvaluateDistributed(ctx, ln, shards, 2, distSources(params), factory, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range directCounts {
+		if distCounts[i] != directCounts[i] {
+			t.Errorf("shard %d count: distributed %d vs in-process %d", i, distCounts[i], directCounts[i])
+		}
+	}
+	if !bytes.Equal(snapshotOf(t, dist), snapshotOf(t, direct)) {
+		t.Error("distributed snapshot is not byte-identical to the in-process sharded run")
+	}
+}

@@ -189,6 +189,22 @@ func (r *Reader) Int() int {
 	return int(v)
 }
 
+// IntMax reads a uvarint scalar — an index, counter or size that is not
+// followed by that many bytes — and rejects values above max. Lengths use
+// Int instead, which bounds them by the remaining input; that bound would
+// wrongly refuse a scalar larger than the rest of the encoding.
+func (r *Reader) IntMax(max int) int {
+	v := r.Uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if max < 0 || v > uint64(max) {
+		r.fail("value %d exceeds %d", v, max)
+		return 0
+	}
+	return int(v)
+}
+
 // F64 reads a float64 from its IEEE-754 bits.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 

@@ -131,3 +131,26 @@ func TestU32RoundTripAndTruncation(t *testing.T) {
 		t.Error("truncated U32 did not error")
 	}
 }
+
+// TestIntMaxReadsScalarsBeyondRemainingInput: a scalar is not a length, so
+// a value far larger than the bytes after it decodes, while values above
+// the caller's bound — or a negative int written as its uvarint — fail.
+func TestIntMaxReadsScalarsBeyondRemainingInput(t *testing.T) {
+	w := NewWriter(16)
+	w.Int(20000)
+	w.Int(7)
+	r := NewReader(w.Bytes())
+	if got := r.IntMax(math.MaxInt32); got != 20000 {
+		t.Errorf("IntMax = %d, want 20000", got)
+	}
+	if got := r.IntMax(6); got != 0 || r.Err() == nil {
+		t.Errorf("IntMax(6) over 7 = %d, err %v; want a bound error", got, r.Err())
+	}
+
+	w.Reset()
+	w.Int(-1)
+	r = NewReader(w.Bytes())
+	if got := r.IntMax(math.MaxInt); got != 0 || r.Err() == nil {
+		t.Errorf("IntMax over a negative int = %d, err %v; want a bound error", got, r.Err())
+	}
+}

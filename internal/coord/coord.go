@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -12,7 +13,7 @@ import (
 	"repro/internal/analyze"
 )
 
-// DefaultMaxAttempts is the per-shard assignment budget when Options leaves
+// DefaultMaxAttempts is the per-cell assignment budget when Options leaves
 // MaxAttempts zero: the first attempt plus two retries.
 const DefaultMaxAttempts = 3
 
@@ -20,36 +21,35 @@ const DefaultMaxAttempts = 3
 // scanner, misdirected client) cannot pin a handler goroutine.
 const handshakeTimeout = 30 * time.Second
 
-// failedShardBackoff is how long a handler sits out after pulling a shard
-// its own worker already failed: pushing the shard back while pausing hands
-// it to any other parked worker (a parked channel receiver gets it
-// directly), so one deterministically-broken worker cannot burn a shard's
-// whole attempt budget in milliseconds while healthy workers are busy.
-// Deferrals charge no attempts; if the worker is truly alone it re-takes
-// the shard after the pause and the budget still bounds total failures.
-const failedShardBackoff = 100 * time.Millisecond
+// failureBackoff is how long a handler sits out after its worker reports a
+// failure: the requeued cells go to any other parked worker first (a parked
+// channel receiver gets them directly), so one deterministically broken
+// worker cannot burn a cell's whole attempt budget in milliseconds while a
+// healthy worker is still dialing in. If the worker is alone it re-takes
+// the cells after the pause, and the budget still bounds total failures.
+const failureBackoff = 100 * time.Millisecond
 
-// ErrDuplicateShard reports a snapshot offered for a shard that has already
+// ErrDuplicateShard reports a snapshot offered for a cell that has already
 // been folded — the at-most-once guard. The coordinator drops duplicates
-// (the retried shard is byte-identical by determinism); callers folding
+// (a retried cell is byte-identical by determinism); callers folding
 // snapshots by hand can test for it with errors.Is.
 var ErrDuplicateShard = errors.New("coord: duplicate snapshot for an already-folded shard")
 
-// Options tunes a coordinator run. The zero value is usable: no per-shard
-// deadline, DefaultMaxAttempts attempts, provenance bases required to agree
-// across shards but not pinned to an expected value.
+// Options tunes a coordinator run. The zero value is usable: no deadline,
+// DefaultMaxAttempts attempts per cell, provenance bases required to agree
+// across cells but not pinned to an expected value.
 type Options struct {
-	// ShardTimeout is the per-assignment deadline: a worker that neither
-	// returns a snapshot nor fails within it is abandoned and the shard
-	// requeued. It also arms the stall detector: once any worker has
-	// connected, a run with shards pending, no attempt in flight, and no
-	// progress for a whole ShardTimeout fails with an error instead of
-	// waiting forever on workers that are all gone. Zero disables both —
-	// a hung or vanished worker then hangs the run, so set it whenever
-	// workers can die.
+	// ShardTimeout is the per-cell progress deadline: a worker that
+	// delivers neither a cell result nor a failure within it is abandoned,
+	// and the unfinished tail of its range is re-split and requeued for
+	// other workers to steal. It also arms the stall detector: once any
+	// worker has connected, a run with cells pending, none in flight, and
+	// no progress for a whole ShardTimeout fails instead of waiting forever
+	// on workers that are all gone. Zero disables both — a hung or vanished
+	// worker then hangs the run, so set it whenever workers can die.
 	ShardTimeout time.Duration
-	// MaxAttempts bounds assignments per shard (first attempt included).
-	// When a shard exhausts it, the run fails. Zero means
+	// MaxAttempts bounds assignments per cell (first attempt included).
+	// When a cell exhausts it, the run fails. Zero means
 	// DefaultMaxAttempts.
 	MaxAttempts int
 	// ExpectWorkers arms the stall detector from the start instead of
@@ -58,39 +58,62 @@ type Options struct {
 	// all is itself a stall; leave it false for connect-out runs that may
 	// legitimately idle until an operator starts workers elsewhere.
 	ExpectWorkers bool
-	// Provenance, when non-empty, is the run-identifying base every shard
+	// Provenance, when non-empty, is the run-identifying base every cell
 	// snapshot's provenance must carry (analyze.MetaBase); mismatches are
 	// treated as worker failures and retried elsewhere. When empty, the
 	// first accepted snapshot's base becomes the requirement.
 	Provenance string
-	// NewSink, when set, builds the empty aggregate the shard sinks merge
-	// into — the exact fold shape of analyze.FoldSinks. When nil, the
-	// lowest-indexed shard's sink is the fold base (the shape of
-	// `paibench -merge`). Both shapes produce identical bytes; NewSink
-	// also lets the caller pin the expected sink type.
+	// NewSink, when set, builds the empty aggregate the cell sinks merge
+	// into — the exact fold shape of analyze.FoldSinks. When nil, cell 0's
+	// sink is the fold base (the shape of `paibench -merge`). Both shapes
+	// produce identical bytes; NewSink also pins the expected sink type.
 	NewSink func() (analyze.Sink, error)
-	// Logf receives retry/requeue diagnostics. Nil discards them.
+	// Logf receives steal/requeue diagnostics. Nil discards them.
 	Logf func(format string, args ...any)
 }
 
-// Run coordinates one sharded evaluation: it serves shard assignments
-// carrying payload to every worker that connects to ln, folds the returned
-// snapshots in shard-index order, and returns the merged sink plus
-// per-shard job counts. It returns when every shard has been folded, when a
-// shard exhausts its attempt budget, or when ctx is cancelled; the listener
-// is closed on return.
-func Run(ctx context.Context, ln net.Listener, shards int, payload []byte, opts Options) (analyze.Sink, []int, error) {
+// Stats reports what the scheduler did during one Run.
+type Stats struct {
+	// Workers is the number of connections that completed the handshake.
+	Workers int
+	// Assignments is the number of range assignments sent.
+	Assignments int
+	// StolenCells counts cells reassigned away from a straggler: they were
+	// in flight on a connection when its per-cell deadline expired, and
+	// another worker folded them instead.
+	StolenCells int
+	// Resplits counts the range splits performed when requeueing lost
+	// tails, so multiple workers can absorb one straggler's backlog.
+	Resplits int
+}
+
+// span is one contiguous queue entry of un-folded cells [lo, hi).
+type span struct{ lo, hi int }
+
+// Run coordinates one evaluation over a `cells`-wide grid: workers that
+// connect to ln pull contiguous cell ranges sized by their advertised
+// throughput (halved against the pending backlog so late joiners and
+// stragglers leave work to steal), stream one snapshot per cell back, and
+// cells that stall past opts.ShardTimeout are re-split and requeued for
+// other workers. The per-cell snapshots fold in cell order with the exact
+// analyze merge, so the result is byte-identical to a single-process run
+// over the same grid no matter how the cells were distributed, stolen, or
+// retried. It returns the merged sink, per-cell job counts, and scheduler
+// statistics when every cell has been folded, when a cell exhausts its
+// attempt budget, or when ctx is cancelled; the listener is closed on
+// return.
+func Run(ctx context.Context, ln net.Listener, cells int, payload []byte, opts Options) (analyze.Sink, []int, Stats, error) {
 	if ln == nil {
-		return nil, nil, fmt.Errorf("coord: Run with nil listener")
+		return nil, nil, Stats{}, fmt.Errorf("coord: Run with nil listener")
 	}
-	if shards < 1 {
+	if cells < 1 {
 		// The contract is "listener closed on return" even for early
 		// errors: a caller that already pointed workers at ln must not be
 		// left with them blocked on a live socket.
 		ln.Close()
-		return nil, nil, fmt.Errorf("coord: Run with %d shards", shards)
+		return nil, nil, Stats{}, fmt.Errorf("coord: Run with %d cells", cells)
 	}
-	st := newRunState(ctx, shards, payload, opts)
+	st := newState(ctx, cells, payload, opts)
 
 	go func() {
 		for {
@@ -106,8 +129,6 @@ func Run(ctx context.Context, ln net.Listener, shards int, payload []byte, opts 
 				return
 			}
 			if !st.beginHandler(conn) {
-				// Run already finished; the loop will exit on the closed
-				// listener next iteration.
 				conn.Close()
 				continue
 			}
@@ -117,10 +138,7 @@ func Run(ctx context.Context, ln net.Listener, shards int, payload []byte, opts 
 
 	if opts.ShardTimeout > 0 {
 		go func() {
-			period := opts.ShardTimeout / 4
-			if period < 10*time.Millisecond {
-				period = 10 * time.Millisecond
-			}
+			period := max(opts.ShardTimeout/4, 10*time.Millisecond)
 			t := time.NewTicker(period)
 			defer t.Stop()
 			for {
@@ -145,36 +163,34 @@ func Run(ctx context.Context, ln net.Listener, shards int, payload []byte, opts 
 
 	st.mu.Lock()
 	failure := st.failure
+	stats := st.stats
 	st.mu.Unlock()
 	if failure != nil {
-		return nil, nil, failure
+		return nil, nil, stats, failure
 	}
-	return st.fold()
+	sink, counts, err := st.fold()
+	return sink, counts, stats, err
 }
 
-// runState is the shared coordination state of one Run.
-type runState struct {
+// state is the shared coordination state of one Run.
+type state struct {
 	ctx     context.Context
-	shards  int
+	cells   int
 	payload []byte
 	opts    Options
 
-	// work holds the pending shard indexes; capacity shards, so a requeue
-	// can never block. done closes when every shard is folded or the run
-	// fails.
-	work chan int
+	// work holds pending disjoint cell spans. Spans are non-empty and
+	// disjoint, so there can never be more than `cells` of them: sends
+	// never block. done closes when every cell is folded or the run fails.
+	work chan span
 	done chan struct{}
 
 	handlers sync.WaitGroup
 
-	mu       sync.Mutex
-	conns    map[net.Conn]connState
-	attempts []int
-	// failedBy[idx] is the set of connections whose worker has failed shard
-	// idx, so the shard prefers workers that have not — without ever
-	// deferring when every live worker has failed it (that must burn the
-	// attempt budget and terminate, not livelock).
-	failedBy  []map[net.Conn]bool
+	mu        sync.Mutex
+	conns     map[net.Conn]connState
+	hints     map[net.Conn]float64
+	attempts  []int
 	sinks     []analyze.Sink
 	counts    []int
 	remaining int
@@ -182,55 +198,54 @@ type runState struct {
 	baseSet   bool
 	finished  bool
 	failure   error
-	// Stall detection: a requeued shard sitting in the work queue has no
-	// per-attempt deadline, so if every worker is gone the run would wait
+	stats     Stats
+	// Stall detection: a requeued span sitting in the work queue has no
+	// deadline of its own, so if every worker is gone the run would wait
 	// forever. everConnected arms the detector (a coordinator may
-	// legitimately idle indefinitely before the first worker dials in);
-	// lastProgress advances on every connect, assignment and fold.
+	// legitimately idle before the first worker dials in); lastProgress
+	// advances on every connect, assignment, requeue and fold.
 	everConnected bool
 	lastProgress  time.Time
 }
 
-func newRunState(ctx context.Context, shards int, payload []byte, opts Options) *runState {
+func newState(ctx context.Context, cells int, payload []byte, opts Options) *state {
 	if opts.MaxAttempts < 1 {
 		opts.MaxAttempts = DefaultMaxAttempts
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	st := &runState{
+	st := &state{
 		ctx:       ctx,
-		shards:    shards,
+		cells:     cells,
 		payload:   payload,
 		opts:      opts,
-		work:      make(chan int, shards),
+		work:      make(chan span, cells),
 		done:      make(chan struct{}),
 		conns:     map[net.Conn]connState{},
-		attempts:  make([]int, shards),
-		failedBy:  make([]map[net.Conn]bool, shards),
-		sinks:     make([]analyze.Sink, shards),
-		counts:    make([]int, shards),
-		remaining: shards,
+		hints:     map[net.Conn]float64{},
+		attempts:  make([]int, cells),
+		sinks:     make([]analyze.Sink, cells),
+		counts:    make([]int, cells),
+		remaining: cells,
 		base:      opts.Provenance,
 		baseSet:   opts.Provenance != "",
 
 		everConnected: opts.ExpectWorkers,
 		lastProgress:  time.Now(),
 	}
-	for i := 0; i < shards; i++ {
-		st.work <- i
-	}
+	st.work <- span{0, cells}
 	return st
 }
 
 // finish records the run outcome once and releases every waiter.
-func (st *runState) finish(err error) {
+func (st *state) finish(err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.finishLocked(err)
 }
 
-func (st *runState) finishLocked(err error) {
+func (st *state) finishLocked(err error) {
 	if st.finished {
 		return
 	}
@@ -241,8 +256,8 @@ func (st *runState) finishLocked(err error) {
 
 // connState tracks what a handler is doing with its connection, so teardown
 // can force-close only connections that are blocked in a read (handshake or
-// awaiting a shard result). Idle handlers are left alone to deliver the
-// final done message without racing a concurrent Close.
+// awaiting cell results). Idle handlers are left alone to deliver the final
+// done or abort message without racing a concurrent Close.
 type connState int8
 
 const (
@@ -252,11 +267,10 @@ const (
 )
 
 // beginHandler registers a new connection and charges the handler
-// WaitGroup — or reports false when the run has already finished, so no
-// handler can start (and thus Add can never race the teardown Wait: the
-// Add and the finish are serialized by the mutex, and Wait runs only after
-// finish).
-func (st *runState) beginHandler(conn net.Conn) bool {
+// WaitGroup — or reports false when the run has already finished, so Add
+// can never race the teardown Wait (both are serialized by the mutex, and
+// Wait runs only after finish).
+func (st *state) beginHandler(conn net.Conn) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.finished {
@@ -269,68 +283,38 @@ func (st *runState) beginHandler(conn net.Conn) bool {
 	return true
 }
 
-func (st *runState) untrack(conn net.Conn) {
+func (st *state) untrack(conn net.Conn) {
 	st.mu.Lock()
 	delete(st.conns, conn)
+	delete(st.hints, conn)
 	st.mu.Unlock()
 	conn.Close()
 }
 
-// setIdle marks a handler as parked between assignments.
-func (st *runState) setIdle(conn net.Conn) {
-	st.mu.Lock()
-	if _, ok := st.conns[conn]; ok {
-		st.conns[conn] = connIdle
-	}
-	st.mu.Unlock()
-}
-
-// setBusy marks a handler as mid-assignment — unless the run already
-// finished, in which case it reports false and the handler must bail out
-// (its connection may be force-closed at any moment).
-func (st *runState) setBusy(conn net.Conn) bool {
+// setConn moves a tracked connection to a new state. Moving to busy fails
+// once the run has finished: the handler must then bail out instead of
+// reading from a connection teardown may force-close. A handler goes idle
+// right after a handshake, a received frame or a requeue — progress — so
+// the stall clock restarts in the same step, and the stall detector never
+// sees an idle worker against a stale clock.
+func (st *state) setConn(conn net.Conn, s connState) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.finished {
+	if s == connBusy && st.finished {
 		return false
 	}
 	if _, ok := st.conns[conn]; ok {
-		st.conns[conn] = connBusy
+		st.conns[conn] = s
+	}
+	if s == connIdle {
+		st.lastProgress = time.Now()
 	}
 	return true
 }
 
-// markFailed records that conn's worker failed shard idx.
-func (st *runState) markFailed(idx int, conn net.Conn) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.failedBy[idx] == nil {
-		st.failedBy[idx] = map[net.Conn]bool{}
-	}
-	st.failedBy[idx][conn] = true
-}
-
-// shouldDefer reports whether conn should hand shard idx to another worker:
-// its own worker already failed the shard AND some other live connection
-// has not. When every live worker has failed it, nobody defers — the shard
-// is re-served and the attempt budget terminates the run.
-func (st *runState) shouldDefer(idx int, conn net.Conn) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.failedBy[idx][conn] {
-		return false
-	}
-	for c := range st.conns {
-		if c != conn && !st.failedBy[idx][c] {
-			return true
-		}
-	}
-	return false
-}
-
 // closeConns unblocks handlers stuck reading dead or slow workers at
-// teardown. Idle connections are spared so their handlers can send done.
-func (st *runState) closeConns() {
+// teardown. Idle connections are spared so their handlers can say goodbye.
+func (st *state) closeConns() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for conn, state := range st.conns {
@@ -340,62 +324,141 @@ func (st *runState) closeConns() {
 	}
 }
 
-// beginAttempt charges one assignment of shard idx and returns its 1-based
-// attempt number.
-func (st *runState) beginAttempt(idx int) int {
+// goodbye tells an idle worker how the run ended — best effort, since a
+// vanished worker can't read it anyway. A failed run is relayed as an abort
+// so `paibench -worker` processes exit non-zero instead of reporting a
+// clean completion.
+func (st *state) goodbye(conn net.Conn) {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.attempts[idx]++
-	st.lastProgress = time.Now()
-	return st.attempts[idx]
+	failure := st.failure
+	st.mu.Unlock()
+	if failure != nil {
+		writeFrame(conn, msgAbort, encodeAbort(failure.Error()))
+	} else {
+		writeFrame(conn, msgDone, nil)
+	}
 }
 
-// requeue returns a shard to the work queue after a failed attempt, or
-// fails the run when the shard's attempt budget is spent.
-func (st *runState) requeue(idx int) {
+// admit records a completed handshake and the worker's throughput hint.
+func (st *state) admit(conn net.Conn, hint float64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.finished || st.sinks[idx] != nil {
+	st.hints[conn] = hint
+	st.stats.Workers++
+	st.lastProgress = time.Now()
+}
+
+// target computes how many cells conn's next assignment should carry: the
+// worker's capacity share of the pending backlog less one cell, halved,
+// and at least one cell. Halving keeps half the backlog behind for other
+// (and future) workers to pull or steal; leaving one cell out of the count
+// makes the lone first worker of a two- or three-cell grid — a small static
+// -shards run — take a single cell, as a static shard, so workers that join
+// a moment later still find one. Share comes from the handshake throughput
+// hints when every live worker advertised one, and falls back to an even
+// split otherwise — a worker twice as fast gets ranges twice as long, so
+// the straggler's tail shrinks instead of growing.
+func (st *state) target(conn net.Conn) int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	sum := 0.0
+	allHinted := len(st.hints) > 0
+	for _, h := range st.hints {
+		if h <= 0 {
+			allHinted = false
+			break
+		}
+		sum += h
+	}
+	share := 1.0
+	if allHinted && sum > 0 {
+		share = st.hints[conn] / sum
+	} else if n := len(st.hints); n > 0 {
+		share = 1 / float64(n)
+	}
+	return max(int(math.Ceil(float64(st.remaining-1)*share/2)), 1)
+}
+
+// beginSpan charges one attempt for every cell of [lo, hi) and returns the
+// highest per-cell attempt number — or an error when some cell's budget is
+// already spent, which fails the run.
+func (st *state) beginSpan(lo, hi int) (int, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	maxAttempt := 0
+	for i := lo; i < hi; i++ {
+		if st.attempts[i] >= st.opts.MaxAttempts {
+			err := fmt.Errorf("coord: shard %d failed %d attempt(s), budget spent", i, st.attempts[i])
+			st.finishLocked(err)
+			return 0, err
+		}
+		st.attempts[i]++
+		maxAttempt = max(maxAttempt, st.attempts[i])
+	}
+	st.stats.Assignments++
+	st.lastProgress = time.Now()
+	return maxAttempt, nil
+}
+
+// requeue returns the un-folded cells of [lo, hi) to the work queue. stolen
+// marks the cells as stolen from a straggler (deadline expiry, as opposed
+// to a reported failure or a vanished worker), and split re-splits the span
+// in half so two workers can absorb the backlog.
+func (st *state) requeue(lo, hi int, stolen, split bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	// Trim cells already folded (a duplicate delivery race can fold a
+	// prefix); only un-folded cells go back.
+	for lo < hi && st.sinks[lo] != nil {
+		lo++
+	}
+	if lo >= hi || st.finished {
 		return
 	}
-	if st.attempts[idx] >= st.opts.MaxAttempts {
-		st.finishLocked(fmt.Errorf("coord: shard %d failed %d attempt(s), budget spent", idx, st.attempts[idx]))
-		return
+	if stolen {
+		st.stats.StolenCells += hi - lo
 	}
 	// A requeue is scheduler progress: the stall clock restarts, so the
-	// detector only fires after the shard then sits unassigned for a whole
-	// ShardTimeout (time spent inside the failed attempt doesn't count).
+	// detector only fires after the span then sits unassigned for a whole
+	// ShardTimeout.
 	st.lastProgress = time.Now()
-	st.work <- idx
+	if split && hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		st.stats.Resplits++
+		st.work <- span{lo, mid}
+		st.work <- span{mid, hi}
+		return
+	}
+	st.work <- span{lo, hi}
 }
 
-// offer validates one returned snapshot — decodable, checksum-clean, carrying
-// the right shard index and an agreeing run base — and records it for the
-// fold. The shard is folded at most once: a second snapshot for the same
-// index returns ErrDuplicateShard.
-func (st *runState) offer(idx int, snapshot []byte, jobs int) error {
+// offer validates one returned cell snapshot — decodable, checksum-clean,
+// carrying the right cell index and an agreeing run base — and records it
+// for the fold. A cell is folded at most once: a second snapshot for the
+// same cell returns ErrDuplicateShard.
+func (st *state) offer(cell int, snapshot []byte, jobs int) error {
 	sink, meta, err := analyze.ReadSnapshotMeta(bytes.NewReader(snapshot))
 	if err != nil {
 		return err
 	}
 	mi, ok := analyze.MetaShardIndex(meta)
-	if !ok || mi != idx {
-		return fmt.Errorf("coord: snapshot provenance %q does not name shard %d", meta, idx)
+	if !ok || mi != cell {
+		return fmt.Errorf("coord: snapshot provenance %q does not name shard %d", meta, cell)
 	}
 	base := analyze.MetaBase(meta)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.baseSet && base != st.base {
-		return fmt.Errorf("coord: shard %d from a different run (provenance %q, want base %q)", idx, base, st.base)
+		return fmt.Errorf("coord: shard %d from a different run (provenance %q, want base %q)", cell, base, st.base)
 	}
-	if st.sinks[idx] != nil {
-		return fmt.Errorf("%w: shard %d (provenance %q)", ErrDuplicateShard, idx, meta)
+	if st.sinks[cell] != nil {
+		return fmt.Errorf("%w: shard %d (provenance %q)", ErrDuplicateShard, cell, meta)
 	}
 	if !st.baseSet {
 		st.base, st.baseSet = base, true
 	}
-	st.sinks[idx] = sink
-	st.counts[idx] = jobs
+	st.sinks[cell] = sink
+	st.counts[cell] = jobs
 	st.remaining--
 	st.lastProgress = time.Now()
 	if st.remaining == 0 {
@@ -404,11 +467,11 @@ func (st *runState) offer(idx int, snapshot []byte, jobs int) error {
 	return nil
 }
 
-// checkStalled fails the run when shards are pending, no worker is busy,
-// and nothing has progressed for a whole ShardTimeout — the state a run
-// reaches when every worker died and their shards sit requeued with nobody
-// to take them (a queued shard has no per-attempt deadline of its own).
-func (st *runState) checkStalled(timeout time.Duration) {
+// checkStalled fails the run when cells are pending, no worker is busy,
+// and nothing has progressed for a whole timeout — the state a run reaches
+// when every worker died and their cells sit requeued with nobody to take
+// them.
+func (st *state) checkStalled(timeout time.Duration) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.finished || st.remaining == 0 || !st.everConnected {
@@ -416,7 +479,7 @@ func (st *runState) checkStalled(timeout time.Duration) {
 	}
 	for _, state := range st.conns {
 		if state == connBusy {
-			return // an in-flight attempt; its own read deadline governs it
+			return // an in-flight range; its own read deadline governs it
 		}
 	}
 	if idle := time.Since(st.lastProgress); idle > timeout {
@@ -424,11 +487,12 @@ func (st *runState) checkStalled(timeout time.Duration) {
 	}
 }
 
-// serve drives one worker connection: handshake, then assign/collect until
-// the run completes or the worker misbehaves. Any send/receive failure
-// requeues the in-flight shard and abandons the connection — a worker
-// killed mid-shard surfaces here as a read error.
-func (st *runState) serve(conn net.Conn) {
+// serve drives one worker connection: handshake, then assign
+// capacity-sized spans and collect per-cell results until the run
+// completes. A send or receive failure requeues the unfinished tail and
+// abandons the connection — a worker killed mid-range surfaces here as a
+// read error.
+func (st *state) serve(conn net.Conn) {
 	defer st.handlers.Done()
 	defer st.untrack(conn)
 
@@ -438,121 +502,138 @@ func (st *runState) serve(conn net.Conn) {
 		st.opts.Logf("coord: %s: handshake rejected", conn.RemoteAddr())
 		return
 	}
-	if _, herr := decodeHello(p); herr != nil {
-		st.opts.Logf("coord: %s: handshake rejected", conn.RemoteAddr())
+	hint, herr := decodeHello(p)
+	if herr != nil {
+		st.opts.Logf("coord: %s: handshake rejected (%v)", conn.RemoteAddr(), herr)
 		return
 	}
 	if err := writeFrame(conn, msgHello, encodeHello()); err != nil {
 		return
 	}
 	conn.SetDeadline(time.Time{})
+	st.admit(conn, hint)
 
 	for {
-		st.setIdle(conn)
-		var idx int
+		st.setConn(conn, connIdle)
+		var s span
 		select {
-		case idx = <-st.work:
-			if st.shouldDefer(idx, conn) {
-				// Defer to a worker that has not failed this shard; a
-				// parked one receives the pushed-back shard directly. When
-				// no such worker is connected, the shard is re-served here,
-				// so the attempt budget still terminates the run.
-				st.work <- idx
-				select {
-				case <-st.done:
-				case <-time.After(failedShardBackoff):
-				}
-				continue
-			}
-			if !st.setBusy(conn) {
-				st.requeue(idx)
-				return
-			}
+		case s = <-st.work:
 		case <-st.done:
-			// Best effort: a vanished worker can't read it anyway. A failed
-			// run is relayed as an abort so `paibench -worker` processes
-			// exit non-zero instead of reporting a clean completion.
-			st.mu.Lock()
-			failure := st.failure
-			st.mu.Unlock()
-			if failure != nil {
-				writeFrame(conn, msgAbort, encodeAbort(failure.Error()))
-			} else {
-				writeFrame(conn, msgDone, nil)
-			}
+			st.goodbye(conn)
 			return
 		case <-st.ctx.Done():
 			return
 		}
-		attempt := st.beginAttempt(idx)
-		a := Assignment{
-			Shards:     st.shards,
-			Index:      idx,
+		// Trim the span to the worker's capacity-weighted target, leaving
+		// the rest queued for others.
+		if t := st.target(conn); s.hi-s.lo > t {
+			st.requeue(s.lo+t, s.hi, false, false)
+			s.hi = s.lo + t
+		}
+		// Charge the attempts while still idle: a spent budget finishes
+		// the run, and teardown spares idle connections, so the abort
+		// reaches this worker. Either failure below means the run is over.
+		attempt, err := st.beginSpan(s.lo, s.hi)
+		if err != nil || !st.setConn(conn, connBusy) {
+			st.goodbye(conn)
+			return
+		}
+		a := rangeAssign{
+			Cells:      st.cells,
+			Lo:         s.lo,
+			Hi:         s.hi,
 			Attempt:    attempt,
 			Provenance: st.opts.Provenance,
 			Payload:    st.payload,
 		}
-		if err := writeFrame(conn, msgAssign, encodeAssign(a)); err != nil {
-			st.opts.Logf("coord: shard %d attempt %d: send to %s failed (%v); requeueing", idx, attempt, conn.RemoteAddr(), err)
-			st.requeue(idx)
+		if err := writeFrame(conn, msgRange, encodeRange(a)); err != nil {
+			st.opts.Logf("coord: cells [%d, %d): send to %s failed (%v); requeueing", s.lo, s.hi, conn.RemoteAddr(), err)
+			st.requeue(s.lo, s.hi, false, false)
 			return
+		}
+		if !st.collect(conn, s) {
+			return
+		}
+	}
+}
+
+// collect reads one frame per cell of s, resetting the progress deadline
+// after each — a straggler is detected per cell, not per range. It reports
+// whether the connection is still usable for another assignment.
+func (st *state) collect(conn net.Conn, s span) bool {
+	defer conn.SetReadDeadline(time.Time{})
+	for next := s.lo; next < s.hi; {
+		// Busy only while blocked in the read: once a frame is in hand,
+		// teardown must not close the connection under the done or abort
+		// message this handler may be about to send — folding this very
+		// cell can finish the run.
+		if !st.setConn(conn, connBusy) {
+			st.goodbye(conn)
+			return false
 		}
 		if st.opts.ShardTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(st.opts.ShardTimeout))
 		}
 		typ, p, err := readFrame(conn)
 		if err != nil {
-			st.opts.Logf("coord: shard %d attempt %d: worker %s lost (%v); requeueing", idx, attempt, conn.RemoteAddr(), err)
-			st.requeue(idx)
-			return
+			var nerr net.Error
+			stolen := errors.As(err, &nerr) && nerr.Timeout()
+			if stolen {
+				st.opts.Logf("coord: cells [%d, %d) stalled on %s (%v); re-splitting for other workers", next, s.hi, conn.RemoteAddr(), err)
+			} else {
+				st.opts.Logf("coord: worker %s lost with cells [%d, %d) in flight (%v); requeueing", conn.RemoteAddr(), next, s.hi, err)
+			}
+			st.requeue(next, s.hi, stolen, true)
+			return false
 		}
-		conn.SetReadDeadline(time.Time{})
-		// The frame is in hand: this handler is no longer blocked on the
-		// network, so teardown must not force-close the connection out from
-		// under the done/abort message it may be about to send.
-		st.setIdle(conn)
+		st.setConn(conn, connIdle)
 		switch typ {
 		case msgResult:
-			ri, _, jobs, snapshot, derr := decodeResult(p)
-			if derr != nil || ri != idx {
-				st.opts.Logf("coord: shard %d attempt %d: bad result from %s (%v, shard %d); requeueing", idx, attempt, conn.RemoteAddr(), derr, ri)
-				st.requeue(idx)
-				return
+			cell, _, jobs, snapshot, derr := decodeResult(p)
+			if derr != nil || cell != next {
+				st.opts.Logf("coord: bad result from %s (%v, cell %d, expected %d); requeueing tail", conn.RemoteAddr(), derr, cell, next)
+				st.requeue(next, s.hi, false, true)
+				return false
 			}
-			if err := st.offer(idx, snapshot, jobs); err != nil {
-				if errors.Is(err, ErrDuplicateShard) {
-					// Shard already folded (a requeued attempt raced the
-					// original); drop the byte-identical duplicate.
-					st.opts.Logf("coord: %v (dropped)", err)
-					continue
-				}
-				st.opts.Logf("coord: shard %d attempt %d: snapshot from %s rejected (%v); requeueing", idx, attempt, conn.RemoteAddr(), err)
-				st.requeue(idx)
-				return
+			if err := st.offer(cell, snapshot, jobs); err != nil {
+				st.opts.Logf("coord: cell %d snapshot from %s rejected (%v); requeueing tail", cell, conn.RemoteAddr(), err)
+				st.requeue(next, s.hi, false, true)
+				return false
 			}
+			next++
 		case msgFail:
-			_, _, msg, derr := decodeFail(p)
-			if derr != nil {
-				msg = derr.Error()
+			cell, _, msg, derr := decodeFail(p)
+			if derr != nil || cell < next || cell >= s.hi {
+				if derr == nil {
+					derr = fmt.Errorf("failure names cell %d outside [%d, %d)", cell, next, s.hi)
+				}
+				st.opts.Logf("coord: bad failure report from %s (%v); requeueing tail", conn.RemoteAddr(), derr)
+				st.requeue(next, s.hi, false, true)
+				return false
 			}
-			// The worker is alive and spoke the protocol — requeue the shard
-			// and keep serving this worker, but remember the failure so the
-			// shard prefers workers that have not failed it.
-			st.markFailed(idx, conn)
-			st.opts.Logf("coord: shard %d attempt %d: worker %s reports: %s", idx, attempt, conn.RemoteAddr(), msg)
-			st.requeue(idx)
+			// The worker is alive and spoke the protocol: requeue the failed
+			// cell onward and keep serving it — after a pause, so another
+			// parked worker takes the requeued span first.
+			st.opts.Logf("coord: worker %s reports at cell %d: %s; requeueing [%d, %d)", conn.RemoteAddr(), cell, msg, cell, s.hi)
+			st.requeue(cell, s.hi, false, false)
+			select {
+			case <-st.done:
+			case <-time.After(failureBackoff):
+			}
+			return true
 		default:
-			st.opts.Logf("coord: shard %d attempt %d: unexpected %q frame from %s; requeueing", idx, attempt, typ, conn.RemoteAddr())
-			st.requeue(idx)
-			return
+			st.opts.Logf("coord: unexpected %q frame from %s; requeueing tail", typ, conn.RemoteAddr())
+			st.requeue(next, s.hi, false, true)
+			return false
 		}
 	}
+	return true
 }
 
-// fold merges the per-shard sinks in shard-index order — the same pinned
-// order `paibench -merge` and analyze.FoldSinks use, which is what makes a
+// fold merges the per-cell sinks in cell order — the same pinned order
+// `paibench -merge` and analyze.FoldSinks use, which is what makes a
 // retried, redistributed run byte-identical to the single-process one.
-func (st *runState) fold() (analyze.Sink, []int, error) {
+func (st *state) fold() (analyze.Sink, []int, error) {
 	var total analyze.Sink
 	start := 0
 	if st.opts.NewSink != nil {
@@ -565,12 +646,10 @@ func (st *runState) fold() (analyze.Sink, []int, error) {
 		total = st.sinks[0]
 		start = 1
 	}
-	for i := start; i < st.shards; i++ {
+	for i := start; i < st.cells; i++ {
 		if err := total.Merge(st.sinks[i]); err != nil {
-			return nil, nil, fmt.Errorf("coord: fold shard %d: %w", i, err)
+			return nil, nil, fmt.Errorf("coord: fold cell %d: %w", i, err)
 		}
 	}
-	counts := make([]int, st.shards)
-	copy(counts, st.counts)
-	return total, counts, nil
+	return total, st.counts, nil
 }

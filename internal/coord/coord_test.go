@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,17 +105,53 @@ func listen(tb testing.TB) net.Listener {
 	return ln
 }
 
-// startWorkers launches n Work loops and returns a wait function that
-// reports their errors.
+// startWorkers launches n Work loops sharing run and returns a wait
+// function that reports their errors.
 func startWorkers(ctx context.Context, addr string, run Runner, n int) func() []error {
-	errs := make([]error, n)
+	runs := make([]Runner, n)
+	for i := range runs {
+		runs[i] = run
+	}
+	return launch(ctx, addr, runs)
+}
+
+// startGatedWorkers is startWorkers for the happy-path fold tests: every
+// worker's runner waits until all n workers have been handed a range, so no
+// cell folds — and the run cannot finish — before the last worker has
+// joined. Halving the backlog leaves at least one cell for each of them, so
+// the gate cannot deadlock.
+func startGatedWorkers(ctx context.Context, addr string, run Runner, n int) func() []error {
+	var joined atomic.Int32
+	all := make(chan struct{})
+	runs := make([]Runner, n)
+	for i := range runs {
+		var once sync.Once
+		runs[i] = func(ctx context.Context, a Assignment) (analyze.Sink, string, int, error) {
+			once.Do(func() {
+				if joined.Add(1) == int32(n) {
+					close(all)
+				}
+			})
+			select {
+			case <-all:
+			case <-ctx.Done():
+				return nil, "", 0, ctx.Err()
+			}
+			return run(ctx, a)
+		}
+	}
+	return launch(ctx, addr, runs)
+}
+
+func launch(ctx context.Context, addr string, runs []Runner) func() []error {
+	errs := make([]error, len(runs))
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i, run := range runs {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			errs[i] = Work(ctx, addr, run)
-		}(i)
+			errs[i] = Work(ctx, addr, 0, run)
+		}()
 	}
 	return func() []error {
 		wg.Wait()
@@ -123,7 +160,8 @@ func startWorkers(ctx context.Context, addr string, run Runner, n int) func() []
 }
 
 // TestRunMatchesDirectFold: two networked workers over loopback TCP must
-// fold to bytes identical to the in-process shard merge.
+// fold a static shard grid — one cell per round-robin shard — to bytes
+// identical to the in-process shard merge.
 func TestRunMatchesDirectFold(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -133,8 +171,8 @@ func TestRunMatchesDirectFold(t *testing.T) {
 	const base = "coordtest run=1"
 
 	ln := listen(t)
-	wait := startWorkers(ctx, ln.Addr().String(), testRunner(t, b, jobs, base), 2)
-	sink, counts, err := Run(ctx, ln, shards, []byte("payload"), Options{Provenance: base})
+	wait := startGatedWorkers(ctx, ln.Addr().String(), testRunner(t, b, jobs, base), 2)
+	sink, counts, _, err := Run(ctx, ln, shards, []byte("payload"), Options{Provenance: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +215,7 @@ func TestRunWithSinkFactory(t *testing.T) {
 
 	ln := listen(t)
 	wait := startWorkers(ctx, ln.Addr().String(), testRunner(t, b, jobs, ""), 1)
-	sink, _, err := Run(ctx, ln, shards, nil, Options{
+	sink, _, _, err := Run(ctx, ln, shards, nil, Options{
 		NewSink: func() (analyze.Sink, error) { return analyze.NewBreakdownAccumulator(), nil },
 	})
 	if err != nil {
@@ -193,10 +231,10 @@ func TestRunWithSinkFactory(t *testing.T) {
 	}
 }
 
-// crashAfterAssign connects like a worker, accepts one assignment, and
-// drops the connection without replying — the observable shape of a worker
-// killed mid-shard. It reports the received assignment on assigned.
-func crashAfterAssign(t *testing.T, addr string, assigned chan<- Assignment) {
+// crashAfterAssign connects like a worker, accepts one range, and drops the
+// connection without replying — the observable shape of a worker killed
+// mid-range. It reports the received range on assigned.
+func crashAfterAssign(t *testing.T, addr string, assigned chan<- rangeAssign) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -213,11 +251,11 @@ func crashAfterAssign(t *testing.T, addr string, assigned chan<- Assignment) {
 		return
 	}
 	typ, p, err := readFrame(conn)
-	if err != nil || typ != msgAssign {
+	if err != nil || typ != msgRange {
 		t.Errorf("crash worker got %q frame, err %v", typ, err)
 		return
 	}
-	a, err := decodeAssign(p)
+	a, err := decodeRange(p)
 	if err != nil {
 		t.Error(err)
 		return
@@ -226,79 +264,8 @@ func crashAfterAssign(t *testing.T, addr string, assigned chan<- Assignment) {
 	// Dying here: no result, no fail message — just a dead connection.
 }
 
-// TestWorkerDeathMidShardRetries: killing a worker after it accepted a
-// shard must requeue that shard onto a surviving worker and still produce
-// the byte-identical merged result.
-func TestWorkerDeathMidShardRetries(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	b := testBackend(t)
-	jobs := testJobs(t, 500)
-	const shards = 3
-	const base = "coordtest run=death"
-
-	var logMu sync.Mutex
-	var logLines []string
-	ln := listen(t)
-	opts := Options{
-		Provenance: base,
-		Logf: func(format string, args ...any) {
-			logMu.Lock()
-			logLines = append(logLines, fmt.Sprintf(format, args...))
-			logMu.Unlock()
-		},
-	}
-
-	assigned := make(chan Assignment, 1)
-	go crashAfterAssign(t, ln.Addr().String(), assigned)
-
-	type outcome struct {
-		sink   analyze.Sink
-		counts []int
-		err    error
-	}
-	runDone := make(chan outcome, 1)
-	go func() {
-		sink, counts, err := Run(ctx, ln, shards, nil, opts)
-		runDone <- outcome{sink, counts, err}
-	}()
-
-	// Wait until the crash worker holds a shard, then bring up the healthy
-	// worker that must absorb the requeue.
-	select {
-	case <-assigned:
-	case <-ctx.Done():
-		t.Fatal("crash worker never received an assignment")
-	}
-	wait := startWorkers(ctx, ln.Addr().String(), testRunner(t, b, jobs, base), 1)
-
-	out := <-runDone
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	wait()
-	raw, err := out.sink.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, directFoldBytes(t, b, jobs, shards)) {
-		t.Error("post-retry fold is not byte-identical to the direct shard merge")
-	}
-	logMu.Lock()
-	defer logMu.Unlock()
-	requeued := false
-	for _, line := range logLines {
-		if strings.Contains(line, "requeueing") {
-			requeued = true
-		}
-	}
-	if !requeued {
-		t.Errorf("worker death did not surface as a requeue; log:\n%s", strings.Join(logLines, "\n"))
-	}
-}
-
-// TestShardTimeoutRequeues: a worker that accepts a shard and never
-// responds must lose it to the per-shard deadline.
+// TestShardTimeoutRequeues: a worker that accepts a range and never
+// responds must lose it to the per-cell deadline.
 func TestShardTimeoutRequeues(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -308,8 +275,8 @@ func TestShardTimeoutRequeues(t *testing.T) {
 	const base = "coordtest run=timeout"
 
 	ln := listen(t)
-	assigned := make(chan Assignment, 1)
-	// Sleeper: accepts one assignment, then hangs until its conn is closed.
+	assigned := make(chan rangeAssign, 1)
+	// Sleeper: accepts one range, then hangs until its conn is closed.
 	go func() {
 		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
@@ -326,11 +293,11 @@ func TestShardTimeoutRequeues(t *testing.T) {
 			return
 		}
 		typ, p, err := readFrame(conn)
-		if err != nil || typ != msgAssign {
+		if err != nil || typ != msgRange {
 			t.Errorf("sleeper got %q frame, err %v", typ, err)
 			return
 		}
-		a, _ := decodeAssign(p)
+		a, _ := decodeRange(p)
 		assigned <- a
 		readFrame(conn) // blocks until the coordinator abandons us
 	}()
@@ -339,7 +306,7 @@ func TestShardTimeoutRequeues(t *testing.T) {
 	var sink analyze.Sink
 	go func() {
 		var err error
-		sink, _, err = Run(ctx, ln, shards, nil, Options{
+		sink, _, _, err = Run(ctx, ln, shards, nil, Options{
 			Provenance:   base,
 			ShardTimeout: 200 * time.Millisecond,
 		})
@@ -384,7 +351,7 @@ func TestFailureReportsRetryInPlace(t *testing.T) {
 	}
 	ln := listen(t)
 	wait := startWorkers(ctx, ln.Addr().String(), flaky, 1)
-	sink, _, err := Run(ctx, ln, shards, nil, Options{Provenance: base, MaxAttempts: 3})
+	sink, _, _, err := Run(ctx, ln, shards, nil, Options{Provenance: base, MaxAttempts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,28 +365,6 @@ func TestFailureReportsRetryInPlace(t *testing.T) {
 	}
 }
 
-// TestAttemptBudgetExhaustionFailsRun: a shard that keeps failing must fail
-// the whole run with the attempt budget named, not hang — and the failure
-// must reach idle workers as an abort, so they exit non-zero too.
-func TestAttemptBudgetExhaustionFailsRun(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	broken := func(ctx context.Context, a Assignment) (analyze.Sink, string, int, error) {
-		return nil, "", 0, fmt.Errorf("always broken")
-	}
-	ln := listen(t)
-	wait := startWorkers(ctx, ln.Addr().String(), broken, 1)
-	_, _, err := Run(ctx, ln, 1, nil, Options{MaxAttempts: 2})
-	if err == nil || !strings.Contains(err.Error(), "budget spent") {
-		t.Errorf("exhausted retries returned %v", err)
-	}
-	for _, werr := range wait() {
-		if werr == nil || !strings.Contains(werr.Error(), "aborted") {
-			t.Errorf("worker saw a failed run as clean: %v", werr)
-		}
-	}
-}
-
 // TestAllWorkersLostFailsRun: when the only worker dies with shards still
 // queued, the stall detector must fail the run instead of waiting forever
 // for a worker that will never come back.
@@ -427,10 +372,10 @@ func TestAllWorkersLostFailsRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	ln := listen(t)
-	assigned := make(chan Assignment, 1)
+	assigned := make(chan rangeAssign, 1)
 	go crashAfterAssign(t, ln.Addr().String(), assigned)
 	start := time.Now()
-	_, _, err := Run(ctx, ln, 2, nil, Options{ShardTimeout: 200 * time.Millisecond})
+	_, _, _, err := Run(ctx, ln, 2, nil, Options{ShardTimeout: 200 * time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "no active workers") {
 		t.Errorf("all-workers-lost run returned %v", err)
 	}
@@ -463,7 +408,7 @@ func TestGarbageConnectionIgnored(t *testing.T) {
 		conn.Close()
 	}()
 	wait := startWorkers(ctx, ln.Addr().String(), testRunner(t, b, jobs, base), 1)
-	sink, _, err := Run(ctx, ln, 2, nil, Options{Provenance: base})
+	sink, _, _, err := Run(ctx, ln, 2, nil, Options{Provenance: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +425,7 @@ func TestOfferRejectsDuplicateShard(t *testing.T) {
 	b := testBackend(t)
 	jobs := testJobs(t, 60)
 	const base = "coordtest run=dup"
-	st := newRunState(context.Background(), 2, nil, Options{Provenance: base})
+	st := newState(context.Background(), 2, nil, Options{Provenance: base})
 
 	acc, n := shardAcc(t, b, jobs, 2, 0)
 	snap := snapshotBytes(t, acc, analyze.ShardMeta(base, 0))
@@ -503,7 +448,7 @@ func TestOfferRejectsForeignAndMislabeled(t *testing.T) {
 	b := testBackend(t)
 	jobs := testJobs(t, 60)
 	const base = "coordtest run=prov"
-	st := newRunState(context.Background(), 2, nil, Options{Provenance: base})
+	st := newState(context.Background(), 2, nil, Options{Provenance: base})
 	acc, n := shardAcc(t, b, jobs, 2, 0)
 
 	// Wrong run base.
@@ -537,7 +482,7 @@ func TestOfferRejectsForeignAndMislabeled(t *testing.T) {
 func TestOfferConsistencyWithoutPinnedBase(t *testing.T) {
 	b := testBackend(t)
 	jobs := testJobs(t, 60)
-	st := newRunState(context.Background(), 2, nil, Options{})
+	st := newState(context.Background(), 2, nil, Options{})
 	acc0, n0 := shardAcc(t, b, jobs, 2, 0)
 	acc1, n1 := shardAcc(t, b, jobs, 2, 1)
 
@@ -554,7 +499,7 @@ func TestOfferConsistencyWithoutPinnedBase(t *testing.T) {
 
 // TestFailFastWorkerDefersToHealthy: a worker that deterministically fails
 // a shard must not burn the shard's whole attempt budget re-serving its own
-// failure; after one failure it defers, and a healthy worker that joins
+// failure; after each failure it backs off, and a healthy worker that joins
 // completes the run.
 func TestFailFastWorkerDefersToHealthy(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -578,7 +523,7 @@ func TestFailFastWorkerDefersToHealthy(t *testing.T) {
 	var sink analyze.Sink
 	go func() {
 		var err error
-		sink, _, err = Run(ctx, ln, 1, nil, Options{Provenance: base})
+		sink, _, _, err = Run(ctx, ln, 1, nil, Options{Provenance: base})
 		runDone <- err
 	}()
 	select {
@@ -609,7 +554,7 @@ func TestExpectWorkersFailsWhenNoneConnect(t *testing.T) {
 	defer cancel()
 	ln := listen(t)
 	start := time.Now()
-	_, _, err := Run(ctx, ln, 1, nil, Options{ShardTimeout: 200 * time.Millisecond, ExpectWorkers: true})
+	_, _, _, err := Run(ctx, ln, 1, nil, Options{ShardTimeout: 200 * time.Millisecond, ExpectWorkers: true})
 	if err == nil || !strings.Contains(err.Error(), "no active workers") {
 		t.Errorf("worker-less armed run returned %v", err)
 	}
@@ -618,10 +563,45 @@ func TestExpectWorkersFailsWhenNoneConnect(t *testing.T) {
 	}
 }
 
+// TestAttemptBudgetExhaustionFailsRun: one cell of a multi-cell range that
+// fails on every attempt must still fail the run with the budget named —
+// the cells folded around it do not count as progress that resets its
+// budget — and the lone, idle worker must be told the run aborted.
+func TestAttemptBudgetExhaustionFailsRun(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	b := testBackend(t)
+	jobs := testJobs(t, 100)
+	const cells = 4
+	const base = "coordtest run=budget"
+	const bad = cells - 1
+	poisoned := func(ctx context.Context, a Assignment) (analyze.Sink, string, int, error) {
+		if a.Index == bad {
+			return nil, "", 0, fmt.Errorf("cell %d is poisoned", a.Index)
+		}
+		acc, n := cellFold(t, b, jobs, a.Shards, a.Index)
+		return acc, analyze.ShardMeta(base, a.Index), n, nil
+	}
+	ln := listen(t)
+	wait := startWorkers(ctx, ln.Addr().String(), poisoned, 1)
+	_, _, _, err := Run(ctx, ln, cells, nil, Options{Provenance: base, MaxAttempts: 3})
+	if err == nil || !strings.Contains(err.Error(), "budget spent") {
+		t.Errorf("exhausted retries returned %v", err)
+	}
+	if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("shard %d failed", bad)) {
+		t.Errorf("budget error does not name cell %d: %v", bad, err)
+	}
+	for _, werr := range wait() {
+		if werr == nil || !strings.Contains(werr.Error(), "aborted") {
+			t.Errorf("worker saw a failed run as clean: %v", werr)
+		}
+	}
+}
+
 // TestAllWorkersFailedShardBurnsBudget is the anti-livelock guard: when
-// every connected worker has failed a shard, nobody defers — the shard is
-// re-served until the attempt budget terminates the run with the budget
-// error, in bounded time, even with no ShardTimeout set.
+// every connected worker fails a shard, the back-off only delays the
+// re-serve — the attempt budget terminates the run with the budget error,
+// in bounded time, even with no ShardTimeout set.
 func TestAllWorkersFailedShardBurnsBudget(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -631,7 +611,7 @@ func TestAllWorkersFailedShardBurnsBudget(t *testing.T) {
 	ln := listen(t)
 	wait := startWorkers(ctx, ln.Addr().String(), broken, 2)
 	start := time.Now()
-	_, _, err := Run(ctx, ln, 1, nil, Options{MaxAttempts: 4})
+	_, _, _, err := Run(ctx, ln, 1, nil, Options{MaxAttempts: 4})
 	if err == nil || !strings.Contains(err.Error(), "budget spent") {
 		t.Errorf("universally-failing shard returned %v", err)
 	}
@@ -667,7 +647,7 @@ func TestHandshakeFrameCapped(t *testing.T) {
 	}()
 	wait := startWorkers(ctx, ln.Addr().String(), testRunner(t, b, jobs, base), 1)
 	start := time.Now()
-	sink, _, err := Run(ctx, ln, 1, nil, Options{Provenance: base})
+	sink, _, _, err := Run(ctx, ln, 1, nil, Options{Provenance: base})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func cellFold(tb testing.TB, b backend.Backend, jobs []workload.Features, cells,
 }
 
 // directCellFoldBytes is the reference result: per-cell accumulators merged
-// in cell order, first cell as the fold base (DynamicOptions.NewSink nil).
+// in cell order, first cell as the fold base (Options.NewSink nil).
 func directCellFoldBytes(tb testing.TB, b backend.Backend, jobs []workload.Features, cells int) []byte {
 	tb.Helper()
 	total, _ := cellFold(tb, b, jobs, cells, 0)
@@ -60,39 +60,16 @@ func directCellFoldBytes(tb testing.TB, b backend.Backend, jobs []workload.Featu
 	return raw
 }
 
-// testRangeRunner folds each assigned cell and emits it, the healthy-worker
-// shape. perCell, when non-nil, runs before every cell fold (hook for sleep
+// testCellRunner folds each assigned cell, the healthy-worker shape.
+// perCell, when non-nil, runs before every cell fold (hook for sleep
 // injection and progress signalling).
-func testRangeRunner(tb testing.TB, b backend.Backend, jobs []workload.Features, base string, perCell func(cell int)) RangeRunner {
-	return func(ctx context.Context, a RangeAssignment, emit func(int, analyze.Sink, string, int) error) error {
-		for cell := a.Lo; cell < a.Hi; cell++ {
-			if perCell != nil {
-				perCell(cell)
-			}
-			acc, n := cellFold(tb, b, jobs, a.Cells, cell)
-			if err := emit(cell, acc, analyze.ShardMeta(base, cell), n); err != nil {
-				return err
-			}
+func testCellRunner(tb testing.TB, b backend.Backend, jobs []workload.Features, base string, perCell func(cell int)) Runner {
+	return func(ctx context.Context, a Assignment) (analyze.Sink, string, int, error) {
+		if perCell != nil {
+			perCell(a.Index)
 		}
-		return nil
-	}
-}
-
-// startDynWorkers launches n WorkDynamic loops with the given hint and
-// returns a wait function reporting their errors.
-func startDynWorkers(ctx context.Context, addr string, hint float64, run RangeRunner, n int) func() []error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = WorkDynamic(ctx, addr, hint, run)
-		}(i)
-	}
-	return func() []error {
-		wg.Wait()
-		return errs
+		acc, n := cellFold(tb, b, jobs, a.Shards, a.Index)
+		return acc, analyze.ShardMeta(base, a.Index), n, nil
 	}
 }
 
@@ -108,8 +85,8 @@ func TestRunDynamicMatchesDirectFold(t *testing.T) {
 	const base = "dyntest run=1"
 
 	ln := listen(t)
-	wait := startDynWorkers(ctx, ln.Addr().String(), 0, testRangeRunner(t, b, jobs, base, nil), 3)
-	sink, counts, stats, err := RunDynamic(ctx, ln, cells, []byte("payload"), DynamicOptions{Provenance: base})
+	wait := startGatedWorkers(ctx, ln.Addr().String(), testCellRunner(t, b, jobs, base, nil), 3)
+	sink, counts, stats, err := Run(ctx, ln, cells, []byte("payload"), Options{Provenance: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +136,7 @@ func TestRunDynamicStealsFromStraggler(t *testing.T) {
 	// span, emit one cell, and stall with the rest in flight.
 	firstEmitted := make(chan struct{}, 1)
 	var sawFirst atomic.Bool
-	slow := testRangeRunner(t, b, jobs, base, func(cell int) {
+	slow := testCellRunner(t, b, jobs, base, func(cell int) {
 		if sawFirst.CompareAndSwap(false, true) {
 			return
 		}
@@ -169,18 +146,18 @@ func TestRunDynamicStealsFromStraggler(t *testing.T) {
 		}
 		time.Sleep(2 * time.Second)
 	})
-	waitSlow := startDynWorkers(ctx, ln.Addr().String(), 0, slow, 1)
+	waitSlow := startWorkers(ctx, ln.Addr().String(), slow, 1)
 
 	type outcome struct {
 		sink  analyze.Sink
-		stats DynamicStats
+		stats Stats
 		err   error
 	}
 	runDone := make(chan outcome, 1)
 	go func() {
-		sink, _, stats, err := RunDynamic(ctx, ln, cells, nil, DynamicOptions{
-			Provenance:  base,
-			CellTimeout: 200 * time.Millisecond,
+		sink, _, stats, err := Run(ctx, ln, cells, nil, Options{
+			Provenance:   base,
+			ShardTimeout: 200 * time.Millisecond,
 		})
 		runDone <- outcome{sink, stats, err}
 	}()
@@ -192,7 +169,7 @@ func TestRunDynamicStealsFromStraggler(t *testing.T) {
 	case <-ctx.Done():
 		t.Fatal("slow worker never started its second cell")
 	}
-	waitFast := startDynWorkers(ctx, ln.Addr().String(), 0, testRangeRunner(t, b, jobs, base, nil), 1)
+	waitFast := startWorkers(ctx, ln.Addr().String(), testCellRunner(t, b, jobs, base, nil), 1)
 
 	out := <-runDone
 	if out.err != nil {
@@ -217,106 +194,121 @@ func TestRunDynamicStealsFromStraggler(t *testing.T) {
 
 // TestRunDynamicWorkerDeathRequeues: a worker that dies with a range in
 // flight must lose the un-received cells to a survivor — the kill-one
-// scenario, in micro-shard form.
+// scenario — whether the grid is a static round-robin shard set or a
+// contiguous micro-shard grid, and the requeue must show in the log.
 func TestRunDynamicWorkerDeathRequeues(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
 	b := testBackend(t)
-	jobs := testJobs(t, 250)
-	const cells = 6
-	const base = "dyntest run=death"
+	for _, tc := range []struct {
+		name  string
+		jobs  int
+		cells int
+		run   func(jobs []workload.Features, base string) Runner
+		want  func(jobs []workload.Features, cells int) []byte
+	}{
+		{
+			name: "shards", jobs: 500, cells: 3,
+			run:  func(jobs []workload.Features, base string) Runner { return testRunner(t, b, jobs, base) },
+			want: func(jobs []workload.Features, cells int) []byte { return directFoldBytes(t, b, jobs, cells) },
+		},
+		{
+			name: "cells", jobs: 250, cells: 6,
+			run:  func(jobs []workload.Features, base string) Runner { return testCellRunner(t, b, jobs, base, nil) },
+			want: func(jobs []workload.Features, cells int) []byte { return directCellFoldBytes(t, b, jobs, cells) },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			jobs := testJobs(t, tc.jobs)
+			base := "dyntest run=death " + tc.name
 
-	ln := listen(t)
-	assigned := make(chan RangeAssignment, 1)
-	// Crash worker: handshakes, takes one range, dies silently.
-	go func() {
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer conn.Close()
-		if err := writeFrame(conn, msgHello, encodeHello()); err != nil {
-			t.Error(err)
-			return
-		}
-		if _, _, err := readFrame(conn); err != nil {
-			t.Error(err)
-			return
-		}
-		typ, p, err := readFrame(conn)
-		if err != nil || typ != msgRange {
-			t.Errorf("crash worker got %q frame, err %v", typ, err)
-			return
-		}
-		a, err := decodeRange(p)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		assigned <- a
-	}()
+			var logMu sync.Mutex
+			var logLines []string
+			ln := listen(t)
+			opts := Options{
+				Provenance: base,
+				Logf: func(format string, args ...any) {
+					logMu.Lock()
+					logLines = append(logLines, fmt.Sprintf(format, args...))
+					logMu.Unlock()
+				},
+			}
+			assigned := make(chan rangeAssign, 1)
+			go crashAfterAssign(t, ln.Addr().String(), assigned)
 
-	type outcome struct {
-		sink analyze.Sink
-		err  error
-	}
-	runDone := make(chan outcome, 1)
-	go func() {
-		sink, _, _, err := RunDynamic(ctx, ln, cells, nil, DynamicOptions{Provenance: base})
-		runDone <- outcome{sink, err}
-	}()
-	select {
-	case <-assigned:
-	case <-ctx.Done():
-		t.Fatal("crash worker never received a range")
-	}
-	wait := startDynWorkers(ctx, ln.Addr().String(), 0, testRangeRunner(t, b, jobs, base, nil), 1)
-	out := <-runDone
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	wait()
-	raw, err := out.sink.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, directCellFoldBytes(t, b, jobs, cells)) {
-		t.Error("post-death fold is not byte-identical to the direct cell merge")
+			type outcome struct {
+				sink analyze.Sink
+				err  error
+			}
+			runDone := make(chan outcome, 1)
+			go func() {
+				sink, _, _, err := Run(ctx, ln, tc.cells, nil, opts)
+				runDone <- outcome{sink, err}
+			}()
+			// Wait until the crash worker holds a range, then bring up the
+			// healthy worker that must absorb the requeue.
+			select {
+			case <-assigned:
+			case <-ctx.Done():
+				t.Fatal("crash worker never received a range")
+			}
+			wait := startWorkers(ctx, ln.Addr().String(), tc.run(jobs, base), 1)
+			out := <-runDone
+			if out.err != nil {
+				t.Fatal(out.err)
+			}
+			wait()
+			raw, err := out.sink.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(raw, tc.want(jobs, tc.cells)) {
+				t.Error("post-death fold is not byte-identical to the direct merge")
+			}
+			logMu.Lock()
+			defer logMu.Unlock()
+			requeued := false
+			for _, line := range logLines {
+				if strings.Contains(line, "requeueing") {
+					requeued = true
+				}
+			}
+			if !requeued {
+				t.Errorf("worker death did not surface as a requeue; log:\n%s", strings.Join(logLines, "\n"))
+			}
+		})
 	}
 }
 
 // TestRunDynamicBudgetExhaustionFailsRun: a cell that keeps failing must
-// fail the run with the budget named, in bounded time, and idle workers must
-// see the abort.
+// fail the run with the budget named, in bounded time, and the failure must
+// reach the idle worker as an abort, so it exits non-zero too.
 func TestRunDynamicBudgetExhaustionFailsRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	broken := func(ctx context.Context, a RangeAssignment, emit func(int, analyze.Sink, string, int) error) error {
-		return fmt.Errorf("always broken")
+	broken := func(ctx context.Context, a Assignment) (analyze.Sink, string, int, error) {
+		return nil, "", 0, fmt.Errorf("always broken")
 	}
 	ln := listen(t)
-	wait := startDynWorkers(ctx, ln.Addr().String(), 0, broken, 1)
+	wait := startWorkers(ctx, ln.Addr().String(), broken, 1)
 	start := time.Now()
-	_, _, _, err := RunDynamic(ctx, ln, 1, nil, DynamicOptions{MaxAttempts: 2})
+	_, _, _, err := Run(ctx, ln, 1, nil, Options{MaxAttempts: 2})
 	if err == nil || !strings.Contains(err.Error(), "budget spent") {
 		t.Errorf("exhausted retries returned %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 20*time.Second {
 		t.Errorf("budget exhaustion took %v", elapsed)
 	}
-	// The worker must not mistake the failed run for a clean done: it sees
-	// either the relayed abort or the torn-down connection, never nil.
 	for _, werr := range wait() {
-		if werr == nil {
-			t.Error("worker saw a failed run as clean")
+		if werr == nil || !strings.Contains(werr.Error(), "aborted") {
+			t.Errorf("worker saw a failed run as clean: %v", werr)
 		}
 	}
 }
 
-// TestRunDynamicPartialRangeFailure: a runner that emits some cells then
-// fails must have the emitted prefix folded and only the tail retried —
-// verified by the byte-identical end state after a healthy retry.
+// TestRunDynamicPartialRangeFailure: a worker that folds some cells of its
+// range then fails one must have the folded prefix kept and only the tail
+// retried — verified by the byte-identical end state after a healthy retry.
 func TestRunDynamicPartialRangeFailure(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -325,22 +317,19 @@ func TestRunDynamicPartialRangeFailure(t *testing.T) {
 	const cells = 5
 	const base = "dyntest run=partial"
 
-	var failedOnce atomic.Bool
-	flaky := func(ctx context.Context, a RangeAssignment, emit func(int, analyze.Sink, string, int) error) error {
-		for cell := a.Lo; cell < a.Hi; cell++ {
-			if cell > a.Lo && failedOnce.CompareAndSwap(false, true) {
-				return fmt.Errorf("transient failure before cell %d", cell)
-			}
-			acc, n := cellFold(t, b, jobs, a.Cells, cell)
-			if err := emit(cell, acc, analyze.ShardMeta(base, cell), n); err != nil {
-				return err
-			}
+	// The lone worker pulls a multi-cell range first; its second cell
+	// fails once.
+	var calls atomic.Int32
+	flaky := func(ctx context.Context, a Assignment) (analyze.Sink, string, int, error) {
+		if calls.Add(1) == 2 {
+			return nil, "", 0, fmt.Errorf("transient failure at cell %d", a.Index)
 		}
-		return nil
+		acc, n := cellFold(t, b, jobs, a.Shards, a.Index)
+		return acc, analyze.ShardMeta(base, a.Index), n, nil
 	}
 	ln := listen(t)
-	wait := startDynWorkers(ctx, ln.Addr().String(), 0, flaky, 1)
-	sink, counts, _, err := RunDynamic(ctx, ln, cells, nil, DynamicOptions{Provenance: base, MaxAttempts: 3})
+	wait := startWorkers(ctx, ln.Addr().String(), flaky, 1)
+	sink, counts, _, err := Run(ctx, ln, cells, nil, Options{Provenance: base, MaxAttempts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +354,7 @@ func TestRunDynamicPartialRangeFailure(t *testing.T) {
 // throughput must be offered a ~3x span, both halved against the backlog;
 // workers without hints fall back to an even split.
 func TestDynamicTargetCapacityWeighting(t *testing.T) {
-	st := newDynState(context.Background(), 100, nil, DynamicOptions{})
+	st := newState(context.Background(), 100, nil, Options{})
 	fastC, fastP := net.Pipe()
 	slowC, slowP := net.Pipe()
 	defer fastC.Close()
@@ -394,12 +383,6 @@ func TestDynamicTargetCapacityWeighting(t *testing.T) {
 	if got := st.target(fastC); got != 17 {
 		t.Errorf("fast target with hint-less peer = %d, want 17 (even third, halved)", got)
 	}
-
-	// MaxSpan caps whatever the weighting asks for.
-	st.opts.MaxSpan = 5
-	if got := st.target(fastC); got != 5 {
-		t.Errorf("capped target = %d, want 5", got)
-	}
 }
 
 // TestHelloHintRoundTrip: the hint rides the handshake without moving the
@@ -420,7 +403,7 @@ func TestHelloHintRoundTrip(t *testing.T) {
 
 // TestRangeAssignmentRoundTrip pins the wire encoding and its validation.
 func TestRangeAssignmentRoundTrip(t *testing.T) {
-	a := RangeAssignment{Cells: 13, Lo: 3, Hi: 9, Attempt: 2, Provenance: "run base", Payload: []byte{1, 2, 3}}
+	a := rangeAssign{Cells: 13, Lo: 3, Hi: 9, Attempt: 2, Provenance: "run base", Payload: []byte{1, 2, 3}}
 	got, err := decodeRange(encodeRange(a))
 	if err != nil {
 		t.Fatal(err)
@@ -429,7 +412,7 @@ func TestRangeAssignmentRoundTrip(t *testing.T) {
 		got.Provenance != a.Provenance || !bytes.Equal(got.Payload, a.Payload) {
 		t.Errorf("round trip changed the assignment: %+v != %+v", got, a)
 	}
-	for _, bad := range []RangeAssignment{
+	for _, bad := range []rangeAssign{
 		{Cells: 0, Lo: 0, Hi: 1},
 		{Cells: 5, Lo: 3, Hi: 3},
 		{Cells: 5, Lo: -1, Hi: 2},
@@ -438,5 +421,53 @@ func TestRangeAssignmentRoundTrip(t *testing.T) {
 		if _, err := decodeRange(encodeRange(bad)); err == nil {
 			t.Errorf("invalid range %+v decoded cleanly", bad)
 		}
+	}
+}
+
+// TestWireScalarsRoundTrip: grid sizes, cell indexes, attempts and job
+// counts are scalars, not lengths, so they must round-trip however few
+// bytes follow them in the frame — a fine grid with a short payload, a
+// result whose job count exceeds its snapshot size, a failure deep into a
+// large grid.
+func TestWireScalarsRoundTrip(t *testing.T) {
+	payload := bytes.Repeat([]byte("p"), 106)
+	for _, a := range []rangeAssign{
+		{Cells: 1000, Lo: 0, Hi: 1000, Attempt: 1, Payload: payload},
+		{Cells: 157, Lo: 120, Hi: 157, Attempt: 6, Provenance: "run", Payload: []byte("x")},
+		{Cells: maxGrid, Lo: maxGrid - 1, Hi: maxGrid, Attempt: 1},
+	} {
+		got, err := decodeRange(encodeRange(a))
+		if err != nil {
+			t.Errorf("range %d/[%d, %d): %v", a.Cells, a.Lo, a.Hi, err)
+			continue
+		}
+		if got.Cells != a.Cells || got.Lo != a.Lo || got.Hi != a.Hi || got.Attempt != a.Attempt ||
+			got.Provenance != a.Provenance || !bytes.Equal(got.Payload, a.Payload) {
+			t.Errorf("range round trip: %+v != %+v", got, a)
+		}
+	}
+	for _, r := range []struct{ cell, attempt, jobs, snap int }{
+		{0, 1, 20000, 3 << 10},
+		{999, 3, 1 << 30, 16},
+		{5000, 2, 0, 0},
+	} {
+		snap := bytes.Repeat([]byte{0xa5}, r.snap)
+		cell, attempt, jobs, got, err := decodeResult(encodeResult(r.cell, r.attempt, r.jobs, snap))
+		if err != nil || cell != r.cell || attempt != r.attempt || jobs != r.jobs || !bytes.Equal(got, snap) {
+			t.Errorf("result %+v round trip: cell %d attempt %d jobs %d, %d-byte snapshot, err %v", r, cell, attempt, jobs, len(got), err)
+		}
+	}
+	for _, f := range []struct{ cell, attempt int }{{5000, 2}, {0, 1 << 20}} {
+		cell, attempt, msg, err := decodeFail(encodeFail(f.cell, f.attempt, "boom"))
+		if err != nil || cell != f.cell || attempt != f.attempt || msg != "boom" {
+			t.Errorf("fail %+v round trip: cell %d attempt %d msg %q, err %v", f, cell, attempt, msg, err)
+		}
+	}
+	// A value past the grid bound, or a negative int on the wire, fails.
+	if _, err := decodeRange(encodeRange(rangeAssign{Cells: maxGrid + 1, Lo: 0, Hi: 1})); err == nil {
+		t.Error("range beyond the grid bound decoded cleanly")
+	}
+	if _, _, _, _, err := decodeResult(encodeResult(0, 1, -1, nil)); err == nil {
+		t.Error("negative job count decoded cleanly")
 	}
 }

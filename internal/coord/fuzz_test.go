@@ -11,7 +11,7 @@ import (
 )
 
 // fuzzSeedFrames builds a corpus of well-formed protocol traffic: hello,
-// an assignment, a result carrying a real checksummed snapshot, a failure
+// a range assignment, a result carrying a real checksummed snapshot, a failure
 // report, done, and truncations of each.
 func fuzzSeedFrames(f *testing.F) [][]byte {
 	f.Helper()
@@ -29,7 +29,7 @@ func fuzzSeedFrames(f *testing.F) [][]byte {
 		frames = append(frames, buf.Bytes())
 	}
 	add(msgHello, encodeHello())
-	add(msgAssign, encodeAssign(Assignment{Shards: 2, Index: 0, Attempt: 1, Provenance: "fuzz run", Payload: []byte("spec")}))
+	add(msgRange, encodeRange(rangeAssign{Cells: 2, Lo: 0, Hi: 2, Attempt: 1, Provenance: "fuzz run", Payload: []byte("spec")}))
 	add(msgResult, encodeResult(0, 1, n, snap))
 	add(msgFail, encodeFail(0, 1, "boom"))
 	add(msgDone, nil)
@@ -67,10 +67,10 @@ func FuzzReadFrameStream(f *testing.F) {
 				switch typ {
 				case msgHello:
 					decodeHello(payload)
-				case msgAssign:
-					if a, err := decodeAssign(payload); err == nil {
-						if a.Shards < 1 || a.Index < 0 || a.Index >= a.Shards {
-							t.Fatalf("decodeAssign accepted invalid grid %d/%d", a.Index, a.Shards)
+				case msgRange:
+					if a, err := decodeRange(payload); err == nil {
+						if a.Cells < 1 || a.Lo < 0 || a.Lo >= a.Hi || a.Hi > a.Cells {
+							t.Fatalf("decodeRange accepted invalid range [%d, %d) of %d", a.Lo, a.Hi, a.Cells)
 						}
 					}
 				case msgResult:
@@ -95,35 +95,39 @@ func FuzzReadFrameStream(f *testing.F) {
 
 // FuzzWorkerAssignStream drives the worker-side decode path with arbitrary
 // coordinator bytes: the worker must reject garbage with an error, never
-// run an invalid assignment.
+// run an invalid range, and hand its Runner a view of every cell that
+// matches the decoded range.
 func FuzzWorkerAssignStream(f *testing.F) {
 	for _, frame := range fuzzSeedFrames(f) {
 		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, err := readFrame(bytes.NewReader(data))
-		if err != nil || typ != msgAssign {
+		if err != nil || typ != msgRange {
 			return
 		}
-		a, err := decodeAssign(payload)
+		r, err := decodeRange(payload)
 		if err != nil {
 			return
 		}
-		ran := false
 		run := func(ctx context.Context, got Assignment) (analyze.Sink, string, int, error) {
-			ran = true
-			if got.Index != a.Index || got.Shards != a.Shards {
-				t.Fatalf("assignment mutated in transit: %+v vs %+v", got, a)
+			if got.Shards != r.Cells || got.Index < r.Lo || got.Index >= r.Hi || got.Attempt != r.Attempt ||
+				got.Provenance != r.Provenance || !bytes.Equal(got.Payload, r.Payload) {
+				t.Fatalf("cell view %+v does not match range %+v", got, r)
 			}
 			return analyze.NewBreakdownAccumulator(), analyze.ShardMeta(got.Provenance, got.Index), 0, nil
 		}
-		sink, meta, _, err := run(context.Background(), a)
-		if err != nil || !ran {
-			t.Fatalf("runner did not run: %v", err)
-		}
-		var buf bytes.Buffer
-		if err := analyze.WriteSnapshotMeta(&buf, sink, meta); err != nil {
-			t.Fatalf("valid assignment produced unencodable snapshot: %v", err)
+		// The first and last cells bound the view; a fuzzed range may span
+		// billions of cells.
+		for _, cell := range []int{r.Lo, r.Hi - 1} {
+			sink, meta, _, err := run(context.Background(), r.cell(cell))
+			if err != nil {
+				t.Fatalf("runner did not run: %v", err)
+			}
+			var buf bytes.Buffer
+			if err := analyze.WriteSnapshotMeta(&buf, sink, meta); err != nil {
+				t.Fatalf("valid range produced unencodable snapshot: %v", err)
+			}
 		}
 	})
 }

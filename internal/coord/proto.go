@@ -1,40 +1,45 @@
-// Package coord runs one logical sharded evaluation across networked
-// workers: a coordinator listens on TCP, hands out shard assignments, reads
-// each worker's sink snapshot back over the connection, and folds the
-// shards with the exact analyze merge. Workers dial in (spawn-local or from
-// other machines), evaluate their partition, and stream the snapshot back —
-// no shared filesystem, no snapshot files.
+// Package coord runs one logical evaluation across networked workers as a
+// work-stealing grid: a coordinator listens on TCP and splits a Cells-wide
+// partition grid into contiguous cell ranges; workers dial in (spawn-local
+// or from other machines), evaluate each cell of the range they pulled,
+// and stream one sink snapshot per cell back over the connection; the
+// coordinator folds the cells in cell order with the exact analyze merge —
+// no shared filesystem, no snapshot files. A static N-shard run is the same
+// protocol over an N-cell grid.
 //
-// The coordinator tolerates failure: a per-shard deadline and
-// connection-loss detection requeue the shard to another worker (bounded
-// attempts), and the fold is at-most-once per shard, guarded by the shard
-// provenance already carried inside every snapshot. Because per-shard folds
-// and the shard-index fold order are deterministic, a run that lost and
-// retried workers still merges byte-identically to the single-process
-// sharded run.
+// The coordinator tolerates failure: a per-cell progress deadline and
+// connection-loss detection requeue the unfinished tail of a range (re-split
+// so several workers can steal it), a reported failure requeues the failed
+// cell onward and pauses that worker briefly, attempts are bounded per
+// cell, and the fold is at-most-once per cell, guarded by the provenance
+// carried inside every snapshot. Because per-cell folds and the cell-order
+// fold are deterministic, a run that lost, stole and retried cells still
+// merges byte-identically to the single-process run over the same grid.
 //
 // Wire protocol. Every message is one length-framed unit:
 //
 //	frame   := type(u8) length(u32le) payload
-//	hello   := 'H' ("PAICOORD", version)          both directions, first
-//	assign  := 'A' (shards, index, attempt, provenance, payload)
-//	result  := 'R' (index, attempt, jobs, snapshot)
-//	fail    := 'F' (index, attempt, message)
+//	hello   := 'H' ("PAICOORD", version, [hint f64])  both directions, first
+//	range   := 'G' (cells, lo, hi, attempt, provenance, payload)
+//	result  := 'R' (cell, attempt, jobs, snapshot)    one per cell, in order
+//	fail    := 'F' (cell, attempt, message)           ends the range
 //	done    := 'D' ()
 //	abort   := 'X' (message)
 //
-// Payloads are encoded with internal/binenc (uvarint counts, length-prefixed
-// strings), and the snapshot inside a result message is exactly the framed,
-// checksummed analyze.WriteSnapshotMeta byte stream — the network path and
-// the file path (`paibench -emit-shard`/`-merge`) carry identical bytes.
-// Frames are bounded (maxFrame) and decoded with bounds-checked sticky-error
-// readers, so truncated, corrupted, or hostile streams fail with an error
-// instead of a panic or an unbounded allocation.
+// Scalars (cells, lo, hi, cell, attempt, jobs) are uvarints read with a
+// range check; provenance, payload, snapshot and message are
+// length-prefixed with internal/binenc. The snapshot inside a result is
+// exactly the framed, checksummed analyze.WriteSnapshotMeta byte stream —
+// the network path and the file path (`paibench -emit-shard`/`-merge`)
+// carry identical bytes. Frames are bounded (maxFrame) and decoded with
+// bounds-checked sticky-error readers, so truncated, corrupted, or hostile
+// streams fail with an error instead of a panic or an unbounded allocation.
 package coord
 
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/binenc"
 )
@@ -42,7 +47,6 @@ import (
 // Message types. The type byte leads every frame.
 const (
 	msgHello  byte = 'H'
-	msgAssign byte = 'A'
 	msgRange  byte = 'G'
 	msgResult byte = 'R'
 	msgFail   byte = 'F'
@@ -163,57 +167,12 @@ func decodeHello(p []byte) (float64, error) {
 	return hint, nil
 }
 
-// Assignment is one unit of work a coordinator hands a worker: evaluate
-// shard Index of a Shards-wide grid. Payload is the opaque run description
-// the worker's Runner interprets (paibench encodes its full benchmark
-// parameterization; library users close over their own). Provenance is the
-// run-identifying base string the worker must stamp into its snapshot (see
-// analyze.ShardMeta); Attempt counts assignments of this shard, 1-based.
-type Assignment struct {
-	Shards     int
-	Index      int
-	Attempt    int
-	Provenance string
-	Payload    []byte
-}
-
-// encodeAssign builds an assign payload.
-func encodeAssign(a Assignment) []byte {
-	w := binenc.NewWriter(32 + len(a.Provenance) + len(a.Payload))
-	w.Int(a.Shards)
-	w.Int(a.Index)
-	w.Int(a.Attempt)
-	w.Str(a.Provenance)
-	w.Raw(a.Payload)
-	return w.Bytes()
-}
-
-// decodeAssign parses an assign payload.
-func decodeAssign(p []byte) (Assignment, error) {
-	r := binenc.NewReader(p)
-	a := Assignment{
-		Shards:  r.Int(),
-		Index:   r.Int(),
-		Attempt: r.Int(),
-	}
-	a.Provenance = r.Str()
-	a.Payload = r.Raw()
-	if err := r.Err(); err != nil {
-		return Assignment{}, fmt.Errorf("coord: malformed assignment: %w", err)
-	}
-	if a.Shards < 1 || a.Index < 0 || a.Index >= a.Shards {
-		return Assignment{}, fmt.Errorf("coord: assignment names shard %d of %d", a.Index, a.Shards)
-	}
-	return a, nil
-}
-
-// RangeAssignment is one micro-shard of the work-stealing mode: evaluate
-// the contiguous cell span [Lo, Hi) of a Cells-wide partition grid and
-// stream one result frame per cell, in cell order. Payload and Provenance
-// mean what they do in Assignment; Attempt is the highest per-cell attempt
-// number the span carries (every cell's attempt was charged when the span
-// was assigned).
-type RangeAssignment struct {
+// rangeAssign is the payload of one range frame: evaluate the contiguous
+// cell span [Lo, Hi) of a Cells-wide grid and stream one result frame per
+// cell, in cell order. Attempt is the highest per-cell attempt number the
+// span carries (every cell's attempt was charged when the span was
+// assigned). The worker hands each cell to its Runner as an Assignment.
+type rangeAssign struct {
 	Cells      int
 	Lo, Hi     int
 	Attempt    int
@@ -221,8 +180,18 @@ type RangeAssignment struct {
 	Payload    []byte
 }
 
-// encodeRange builds a range-assign payload.
-func encodeRange(a RangeAssignment) []byte {
+// cell is the Runner's view of one cell of the range.
+func (a rangeAssign) cell(index int) Assignment {
+	return Assignment{Shards: a.Cells, Index: index, Attempt: a.Attempt, Provenance: a.Provenance, Payload: a.Payload}
+}
+
+// maxGrid bounds the grid fields of a frame (cells, cell indexes,
+// attempts): far above any real grid, low enough that no arithmetic on
+// them overflows.
+const maxGrid = 1<<31 - 1
+
+// encodeRange builds a range payload.
+func encodeRange(a rangeAssign) []byte {
 	w := binenc.NewWriter(40 + len(a.Provenance) + len(a.Payload))
 	w.Int(a.Cells)
 	w.Int(a.Lo)
@@ -233,22 +202,24 @@ func encodeRange(a RangeAssignment) []byte {
 	return w.Bytes()
 }
 
-// decodeRange parses a range-assign payload.
-func decodeRange(p []byte) (RangeAssignment, error) {
+// decodeRange parses a range payload. The grid fields are scalars, not
+// lengths, so they are read with IntMax: a 1000-cell grid is valid however
+// few bytes follow it.
+func decodeRange(p []byte) (rangeAssign, error) {
 	r := binenc.NewReader(p)
-	a := RangeAssignment{
-		Cells:   r.Int(),
-		Lo:      r.Int(),
-		Hi:      r.Int(),
-		Attempt: r.Int(),
+	a := rangeAssign{
+		Cells:   r.IntMax(maxGrid),
+		Lo:      r.IntMax(maxGrid),
+		Hi:      r.IntMax(maxGrid),
+		Attempt: r.IntMax(maxGrid),
 	}
 	a.Provenance = r.Str()
 	a.Payload = r.Raw()
 	if err := r.Err(); err != nil {
-		return RangeAssignment{}, fmt.Errorf("coord: malformed range assignment: %w", err)
+		return rangeAssign{}, fmt.Errorf("coord: malformed range assignment: %w", err)
 	}
-	if a.Cells < 1 || a.Lo < 0 || a.Lo >= a.Hi || a.Hi > a.Cells {
-		return RangeAssignment{}, fmt.Errorf("coord: range assignment names cells [%d, %d) of %d", a.Lo, a.Hi, a.Cells)
+	if a.Cells < 1 || a.Lo >= a.Hi || a.Hi > a.Cells {
+		return rangeAssign{}, fmt.Errorf("coord: range assignment names cells [%d, %d) of %d", a.Lo, a.Hi, a.Cells)
 	}
 	return a, nil
 }
@@ -266,9 +237,9 @@ func encodeResult(index, attempt, jobs int, snapshot []byte) []byte {
 // decodeResult parses a result payload.
 func decodeResult(p []byte) (index, attempt, jobs int, snapshot []byte, err error) {
 	r := binenc.NewReader(p)
-	index = r.Int()
-	attempt = r.Int()
-	jobs = r.Int()
+	index = r.IntMax(maxGrid)
+	attempt = r.IntMax(maxGrid)
+	jobs = r.IntMax(math.MaxInt)
 	snapshot = r.Raw()
 	if err := r.Err(); err != nil {
 		return 0, 0, 0, nil, fmt.Errorf("coord: malformed result: %w", err)
@@ -307,8 +278,8 @@ func encodeFail(index, attempt int, msg string) []byte {
 // decodeFail parses a fail payload.
 func decodeFail(p []byte) (index, attempt int, msg string, err error) {
 	r := binenc.NewReader(p)
-	index = r.Int()
-	attempt = r.Int()
+	index = r.IntMax(maxGrid)
+	attempt = r.IntMax(maxGrid)
 	msg = r.Str()
 	if err := r.Err(); err != nil {
 		return 0, 0, "", fmt.Errorf("coord: malformed failure report: %w", err)

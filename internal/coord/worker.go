@@ -3,25 +3,42 @@ package coord
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 
 	"repro/internal/analyze"
 )
 
-// Runner evaluates one shard assignment on the worker side: it interprets
-// a.Payload, streams the shard's partition through an evaluation pipeline,
-// and returns the filled sink, its provenance string (analyze.ShardMeta of
-// the run base and a.Index, so the coordinator can verify and deduplicate),
-// and the number of jobs folded.
+// Assignment is one cell of a range a coordinator handed a worker: evaluate
+// cell Index of a Shards-wide grid. Payload is the opaque run description
+// the worker's Runner interprets (paibench encodes its full benchmark
+// parameterization; library users close over their own). Provenance is the
+// run-identifying base string the worker must stamp into its snapshot (see
+// analyze.ShardMeta); Attempt is the highest attempt number, 1-based, among
+// the cells of the range this cell arrived in.
+type Assignment struct {
+	Shards     int
+	Index      int
+	Attempt    int
+	Provenance string
+	Payload    []byte
+}
+
+// Runner evaluates one cell on the worker side: it interprets a.Payload,
+// folds cell a.Index into a fresh sink, and returns the sink, its
+// provenance (analyze.ShardMeta of the run base and a.Index, so the
+// coordinator can verify and deduplicate), and the number of jobs folded.
+// The worker loop calls it once per cell of every assigned range, in cell
+// order, and streams each result the moment it returns, so the
+// coordinator's per-cell deadline observes progress instead of silence.
 type Runner func(ctx context.Context, a Assignment) (sink analyze.Sink, meta string, jobs int, err error)
 
-// Work dials a coordinator and serves shard assignments with run until the
-// coordinator sends done, the connection drops, or ctx is cancelled. A
-// clean done returns nil; everything else returns the underlying error, so
+// Work dials a coordinator and serves range assignments with run until the
+// coordinator finishes the run. hint is the jobs/sec throughput this worker
+// advertises for capacity-weighted range sizing (zero for unknown). A clean
+// done returns nil; everything else returns the underlying error, so
 // process-level workers can exit non-zero when the run ended without them.
-func Work(ctx context.Context, addr string, run Runner) error {
+func Work(ctx context.Context, addr string, hint float64, run Runner) error {
 	if run == nil {
 		return fmt.Errorf("coord: Work with nil runner")
 	}
@@ -35,7 +52,7 @@ func Work(ctx context.Context, addr string, run Runner) error {
 	// connection out from under it.
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
-	if err := ServeConn(ctx, conn, run); err != nil {
+	if err := serveConn(ctx, conn, hint, run); err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -63,102 +80,12 @@ func workerHandshake(conn net.Conn, hint float64) error {
 	return nil
 }
 
-// ServeConn speaks the worker side of the protocol over an established
-// connection: handshake, then evaluate every assignment until done. Split
-// from Work so tests can drive it over arbitrary transports.
-func ServeConn(ctx context.Context, conn net.Conn, run Runner) error {
-	if err := workerHandshake(conn, 0); err != nil {
-		return err
-	}
-	for {
-		typ, p, err := readFrame(conn)
-		if err != nil {
-			return fmt.Errorf("coord: worker read: %w", err)
-		}
-		switch typ {
-		case msgDone:
-			return nil
-		case msgAbort:
-			msg, derr := decodeAbort(p)
-			if derr != nil {
-				return derr
-			}
-			return fmt.Errorf("coord: run aborted by coordinator: %s", msg)
-		case msgAssign:
-			a, err := decodeAssign(p)
-			if err != nil {
-				return err
-			}
-			sink, meta, jobs, rerr := run(ctx, a)
-			if rerr != nil {
-				if err := writeFrame(conn, msgFail, encodeFail(a.Index, a.Attempt, rerr.Error())); err != nil {
-					return fmt.Errorf("coord: worker report failure: %w", err)
-				}
-				continue
-			}
-			var buf bytes.Buffer
-			if err := analyze.WriteSnapshotMeta(&buf, sink, meta); err != nil {
-				return fmt.Errorf("coord: worker snapshot shard %d: %w", a.Index, err)
-			}
-			if err := writeFrame(conn, msgResult, encodeResult(a.Index, a.Attempt, jobs, buf.Bytes())); err != nil {
-				return fmt.Errorf("coord: worker send shard %d: %w", a.Index, err)
-			}
-		default:
-			return fmt.Errorf("coord: worker got unexpected %q frame", typ)
-		}
-	}
-}
-
-// RangeRunner evaluates one micro-shard range on the worker side: it
-// interprets a.Payload, folds each cell of [a.Lo, a.Hi) into its own fresh
-// sink, and calls emit once per cell, in cell order, the moment that cell's
-// fold completes — streaming, not batched, so the coordinator's per-cell
-// deadline observes progress instead of silence. meta must be
-// analyze.ShardMeta(base, cell). An emit error means the connection is gone;
-// return it unwrapped and stop.
-type RangeRunner func(ctx context.Context, a RangeAssignment, emit func(cell int, sink analyze.Sink, meta string, jobs int) error) error
-
-// netErr marks errors raised by emit itself (the connection died) as
-// opposed to errors from the runner's own evaluation — the two exits differ:
-// a dead connection ends the worker session, an evaluation error is reported
-// with msgFail and the session continues.
-type netErr struct{ error }
-
-func (e netErr) Unwrap() error { return e.error }
-
-// WorkDynamic dials a coordinator's work-stealing run and serves micro-shard
-// range assignments with run until the coordinator finishes. hint is the
-// jobs/sec throughput this worker advertises for capacity-weighted range
-// sizing (zero for unknown). A clean done returns nil.
-func WorkDynamic(ctx context.Context, addr string, hint float64, run RangeRunner) error {
-	if run == nil {
-		return fmt.Errorf("coord: WorkDynamic with nil runner")
-	}
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return fmt.Errorf("coord: dial coordinator: %w", err)
-	}
-	defer conn.Close()
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-	if err := ServeRangeConn(ctx, conn, hint, run); err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return err
-	}
-	return nil
-}
-
-// ServeRangeConn speaks the work-stealing worker protocol over an
-// established connection: handshake (carrying the throughput hint), then one
-// result frame per cell of every range assignment until done. Split from
-// WorkDynamic so tests can drive it over arbitrary transports.
-func ServeRangeConn(ctx context.Context, conn net.Conn, hint float64, run RangeRunner) error {
-	if run == nil {
-		return fmt.Errorf("coord: ServeRangeConn with nil runner")
-	}
+// serveConn speaks the worker side of the protocol over an established
+// connection: handshake (carrying the throughput hint), then one result
+// frame per cell of every range assignment until done. A cell whose Runner
+// fails is reported with a fail frame, which ends that range; the session
+// continues.
+func serveConn(ctx context.Context, conn net.Conn, hint float64, run Runner) error {
 	if err := workerHandshake(conn, hint); err != nil {
 		return err
 	}
@@ -177,35 +104,24 @@ func ServeRangeConn(ctx context.Context, conn net.Conn, hint float64, run RangeR
 			}
 			return fmt.Errorf("coord: run aborted by coordinator: %s", msg)
 		case msgRange:
-			a, err := decodeRange(p)
+			r, err := decodeRange(p)
 			if err != nil {
 				return err
 			}
-			next := a.Lo // first cell not yet emitted; where a failure is charged
-			emit := func(cell int, sink analyze.Sink, meta string, jobs int) error {
-				if cell != next {
-					// Runner bug, not a network fault: report it as a failure
-					// so the coordinator requeues the tail instead of folding
-					// out-of-order cells.
-					return fmt.Errorf("coord: range runner emitted cell %d, expected %d", cell, next)
-				}
+			for cell := r.Lo; cell < r.Hi; cell++ {
+				sink, meta, jobs, rerr := run(ctx, r.cell(cell))
 				var buf bytes.Buffer
-				if err := analyze.WriteSnapshotMeta(&buf, sink, meta); err != nil {
-					return fmt.Errorf("coord: worker snapshot cell %d: %w", cell, err)
+				if rerr == nil {
+					rerr = analyze.WriteSnapshotMeta(&buf, sink, meta)
 				}
-				if err := writeFrame(conn, msgResult, encodeResult(cell, a.Attempt, jobs, buf.Bytes())); err != nil {
-					return netErr{fmt.Errorf("coord: worker send cell %d: %w", cell, err)}
+				if rerr != nil {
+					if err := writeFrame(conn, msgFail, encodeFail(cell, r.Attempt, rerr.Error())); err != nil {
+						return fmt.Errorf("coord: worker report failure: %w", err)
+					}
+					break
 				}
-				next++
-				return nil
-			}
-			if rerr := run(ctx, a, emit); rerr != nil {
-				var ne netErr
-				if errors.As(rerr, &ne) {
-					return ne.error
-				}
-				if err := writeFrame(conn, msgFail, encodeFail(next, a.Attempt, rerr.Error())); err != nil {
-					return fmt.Errorf("coord: worker report failure: %w", err)
+				if err := writeFrame(conn, msgResult, encodeResult(cell, r.Attempt, jobs, buf.Bytes())); err != nil {
+					return fmt.Errorf("coord: worker send cell %d: %w", cell, err)
 				}
 			}
 		default:

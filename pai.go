@@ -211,32 +211,21 @@ type (
 	// entry footprint driving byte-budget sizing.
 	CacheStats = evalcache.Stats
 
-	// ShardAssignment is one unit of distributed work a coordinator hands a
-	// worker: shard Index of a Shards-wide grid, with the opaque run Payload
-	// and the run-identifying Provenance base.
+	// ShardAssignment is one cell of the range a coordinator handed a
+	// worker: cell Index of a Shards-wide grid, with the opaque run Payload,
+	// the run-identifying Provenance base, and the range's Attempt number.
 	ShardAssignment = coord.Assignment
-	// CoordinatorOptions tunes a distributed run: per-shard deadline,
-	// per-shard attempt budget, expected provenance base, fold-base factory.
+	// CoordinatorOptions tunes a distributed run: per-cell progress
+	// deadline, per-cell attempt budget, expected provenance base, fold-base
+	// factory.
 	CoordinatorOptions = coord.Options
-	// DistributedRunner evaluates one shard assignment on the worker side,
-	// returning the filled sink, its provenance string, and the job count.
+	// CoordinatorStats reports what the coordinator's scheduler did:
+	// workers admitted, range assignments sent, cells stolen from
+	// stragglers, range re-splits.
+	CoordinatorStats = coord.Stats
+	// DistributedRunner evaluates one cell on the worker side, returning
+	// the filled sink, its provenance string, and the job count.
 	DistributedRunner = coord.Runner
-
-	// MicroShardAssignment is one work-stealing range assignment: evaluate
-	// the contiguous cell span [Lo, Hi) of a Cells-wide partition grid and
-	// emit one snapshot per cell, in cell order.
-	MicroShardAssignment = coord.RangeAssignment
-	// MicroShardOptions tunes a work-stealing run: per-cell progress
-	// deadline (stalled tails are re-split and stolen), per-cell attempt
-	// budget, span cap, provenance base, fold-base factory.
-	MicroShardOptions = coord.DynamicOptions
-	// MicroShardStats reports what the work-stealing scheduler did: workers
-	// admitted, range assignments sent, cells stolen from stragglers, range
-	// re-splits.
-	MicroShardStats = coord.DynamicStats
-	// MicroShardRunner evaluates one range assignment on the worker side,
-	// emitting each cell's sink the moment it is folded.
-	MicroShardRunner = coord.RangeRunner
 
 	// ReplayStats is the scalar fleet summary of one discrete-event cluster
 	// replay (Engine.Replay / Engine.ReplayInto): capacity, admission and
@@ -539,44 +528,31 @@ func SnapshotShardIndex(meta string) (index int, ok bool) { return analyze.MetaS
 // run-identifying part every shard of one run must share.
 func SnapshotMetaBase(meta string) string { return analyze.MetaBase(meta) }
 
-// CoordinateShards runs the network coordinator standalone: it serves
-// shard assignments carrying payload to every worker that connects to ln,
-// retries shards lost to worker death or the per-shard deadline, folds the
-// returned snapshots in shard-index order, and returns the merged sink
-// plus per-shard job counts. Engine.EvaluateDistributed wraps it with
-// engine-built local workers; `paibench -coordinate` drives it directly.
-func CoordinateShards(ctx context.Context, ln net.Listener, shards int, payload []byte, opts CoordinatorOptions) (Sink, []int, error) {
-	return coord.Run(ctx, ln, shards, payload, opts)
-}
-
-// ServeShardWorker dials a coordinator and serves shard assignments with
-// run until the coordinator completes the run — the worker half of
-// CoordinateShards for callers that interpret assignment payloads
-// themselves (`paibench -worker` does; library users with a configured
-// Engine can use Engine.DistributedWorker instead).
-func ServeShardWorker(ctx context.Context, addr string, run DistributedRunner) error {
-	return coord.Work(ctx, addr, run)
-}
-
-// CoordinateMicroShards runs the work-stealing coordinator: workers that
-// connect to ln pull contiguous cell ranges of a cells-wide partition grid,
+// CoordinateShards runs the network coordinator standalone over a
+// cells-wide grid: workers that connect to ln pull contiguous cell ranges,
 // sized by their advertised throughput and halved against the pending
-// backlog; a worker that stalls past the per-cell deadline has its
-// in-flight tail re-split and requeued for other workers to steal. Per-cell
+// backlog; a worker that dies, or stalls past the per-cell deadline, has its
+// unfinished tail re-split and requeued for other workers to steal. Cell
 // snapshots fold in cell order, so the merged sink is byte-identical to the
-// single-process Engine.EvaluateIndexedColumns run over the same grid no
-// matter how cells were distributed, stolen, or retried. It returns the
-// merged sink, per-cell job counts, and scheduler statistics.
-func CoordinateMicroShards(ctx context.Context, ln net.Listener, cells int, payload []byte, opts MicroShardOptions) (Sink, []int, MicroShardStats, error) {
-	return coord.RunDynamic(ctx, ln, cells, payload, opts)
+// single-process run over the same grid — EvaluateSourcesInto over N
+// shard partitions, or Engine.EvaluateIndexedColumns over a file's
+// micro-shard grid — no matter how cells were distributed, stolen, or
+// retried. It returns the merged sink, per-cell job counts, and scheduler
+// statistics. Engine.EvaluateDistributed wraps it with engine-built local
+// workers; `paibench -coordinate` drives it directly.
+func CoordinateShards(ctx context.Context, ln net.Listener, cells int, payload []byte, opts CoordinatorOptions) (Sink, []int, CoordinatorStats, error) {
+	return coord.Run(ctx, ln, cells, payload, opts)
 }
 
-// ServeMicroShardWorker dials a work-stealing coordinator and serves range
-// assignments with run until the run completes — the worker half of
-// CoordinateMicroShards. hint advertises this worker's expected jobs/sec
-// throughput for capacity-weighted range sizing (0 = unknown).
-func ServeMicroShardWorker(ctx context.Context, addr string, hint float64, run MicroShardRunner) error {
-	return coord.WorkDynamic(ctx, addr, hint, run)
+// ServeShardWorker dials a coordinator and calls run once for every cell
+// of every range it is handed, streaming each cell's snapshot back, until
+// the coordinator completes the run — the worker half of CoordinateShards
+// for callers that interpret assignment payloads themselves (`paibench
+// -worker` does; library users with a configured Engine can use
+// Engine.DistributedWorker instead). hint advertises this worker's expected
+// jobs/sec throughput for capacity-weighted range sizing (0 = unknown).
+func ServeShardWorker(ctx context.Context, addr string, hint float64, run DistributedRunner) error {
+	return coord.Work(ctx, addr, hint, run)
 }
 
 // Version reads the running binary's build metadata (module path, version,
