@@ -53,13 +53,13 @@
 //
 // Networked coordination replaces the snapshot files with TCP:
 // `-coordinate ADDR` listens and serves the M shards as an M-cell grid:
-// each connected worker pulls a contiguous range of shards, streams one
-// snapshot per shard back over the connection, and the coordinator folds
+// each connected worker pulls one shard at a time, streams its snapshot
+// back over the connection, and the coordinator folds
 // them exactly like -merge. `-workers N` spawns N local worker processes
 // for the zero-config single-machine path; `-worker HOST:PORT` connects out
 // from any machine. A worker that dies mid-range (or delivers no shard for
 // -shard-timeout) has the rest of its range requeued to other workers, up
-// to -retries attempts per shard; provenance carried in every snapshot
+// to -retries runs of each shard; provenance carried in every snapshot
 // guards the fold against duplicates and foreign runs, so the retried
 // merged result is still byte-identical to the single-process -shards M
 // -full run. -chaos N gives the first N spawned workers -fail-after, which
@@ -93,9 +93,9 @@
 // -coordinate ADDR -trace FILE distributes the same partition grid over
 // the same workers (-worker HOST:PORT; one worker mode serves both grids,
 // told apart by the payload's version tag): the coordinator hands each
-// worker a contiguous cell range sized by its advertised -hint throughput
-// (even split when any worker abstains), workers stream one snapshot per
-// cell back as it completes, and a worker that makes no progress for
+// worker one cell per pull, or, when every worker advertises a -hint
+// throughput, a contiguous cell range sized by it; workers stream one
+// snapshot per cell back as it completes, and a worker that makes no progress for
 // -shard-timeout has its unfinished tail re-split and reassigned to faster
 // workers. At-most-once folding plus cell-order merge keep the final
 // result byte-identical to the single-process -trace -par-file run at the
@@ -457,7 +457,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workerAddr := fs.String("worker", "",
 		"network worker mode: connect to a coordinator at HOST:PORT and evaluate every cell of the ranges it hands out — -shards partitions or -trace micro-shards, as its payload says — until the run completes")
 	hint := fs.Float64("hint", 0,
-		"with -worker: advertised jobs/sec throughput for capacity-weighted range sizing (0 = unknown, even split)")
+		"with -worker: advertised jobs/sec throughput for capacity-weighted range sizing (0 = unknown; unless every worker hints, each pull takes one cell)")
 	slow := fs.Int("slow", 0,
 		"with -coordinate -trace -workers: make this many spawned workers deliberate stragglers (-slow-delay before every cell after their first), so their in-flight ranges are stolen (steal-injection smoke)")
 	slowDelay := fs.Duration("slow-delay", 0,
@@ -467,7 +467,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	shardTimeout := fs.Duration("shard-timeout", 2*time.Minute,
 		"with -coordinate: per-cell progress deadline (a cell is one shard, or one -trace micro-shard); a worker that delivers no cell for this long loses the rest of its range, which is re-split and stolen by other workers (0 = none)")
 	retries := fs.Int("retries", 3,
-		"with -coordinate: per-cell assignment budget, first attempt included")
+		"with -coordinate: per-cell attempt budget, first attempt included (cells of a lost range that never started are not charged)")
 	out := fs.String("o", "", "result JSON file (default stdout)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
@@ -1376,13 +1376,33 @@ func parsePayload(p []byte) (config, error) {
 // smoke).
 func runWorkerMode(addr string, hint float64, failAfter int, slowDelay time.Duration, stderr io.Writer) error {
 	ran := false
+	// A worker process serves one run, so the run its payload describes is
+	// built once — engine (whose evaluation cache the cells then share) and,
+	// for a trace grid, the opened index — and reused for every cell.
+	var wr *workerRun
+	defer func() {
+		if wr != nil {
+			wr.close()
+		}
+	}()
 	runner := func(ctx context.Context, a pai.ShardAssignment) (pai.Sink, string, int, error) {
 		if slowDelay > 0 && ran {
 			time.Sleep(slowDelay)
 		}
 		ran = true
 		start := time.Now()
-		sink, meta, n, err := evaluateCell(ctx, a, failAfter, stderr)
+		if wr == nil || !bytes.Equal(wr.payload, a.Payload) {
+			if wr != nil {
+				wr.close()
+				wr = nil
+			}
+			w, err := openWorkerRun(a.Payload)
+			if err != nil {
+				return nil, "", 0, err
+			}
+			wr = w
+		}
+		sink, meta, n, err := wr.evaluateCell(ctx, a, failAfter, stderr)
 		if err != nil {
 			return nil, "", 0, err
 		}
@@ -1394,61 +1414,81 @@ func runWorkerMode(addr string, hint float64, failAfter int, slowDelay time.Dura
 	return pai.ServeShardWorker(context.Background(), addr, hint, runner)
 }
 
-// evaluateCell reconstitutes the run an assignment's payload describes and
-// folds the assigned cell through the full report sink. The payload's
-// version tag picks the grid: one of the -shards partitions of a generated
-// trace, or one micro-shard cell of a recorded -trace file.
-func evaluateCell(ctx context.Context, a pai.ShardAssignment, failAfter int, stderr io.Writer) (pai.Sink, string, int, error) {
-	switch tag, _, _ := strings.Cut(string(a.Payload), " "); tag {
+// workerRun is the run an assignment payload describes, reconstituted on
+// the worker side. The payload's version tag picks the grid: the -shards
+// partitions of a generated trace, or the micro-shard cells of a recorded
+// -trace file (ir non-nil).
+type workerRun struct {
+	payload []byte
+	cfg     config
+	eng     *pai.Engine
+	f       *os.File
+	ir      *pai.ColumnIndexedReader
+	cells   int
+}
+
+func openWorkerRun(payload []byte) (*workerRun, error) {
+	var cfg config
+	var err error
+	switch tag, _, _ := strings.Cut(string(payload), " "); tag {
 	case coordPayloadVersion:
-		cfg, err := parsePayload(a.Payload)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		if a.Shards != cfg.shards {
-			return nil, "", 0, fmt.Errorf("assignment grid %d does not match payload shards %d", a.Shards, cfg.shards)
-		}
-		cfg.shardIndex = a.Index
-		cfg.failAfter = failAfter
-		eng, err := newEngine(cfg)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		sink, counts, _, err := stream(eng, cfg, stderr)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		n := 0
-		for _, c := range counts {
-			n += c
-		}
-		return sink, shardMeta(cfg), n, nil
+		cfg, err = parsePayload(payload)
 	case coordTracePayloadVersion:
-		cfg, err := parseTracePayload(a.Payload)
-		if err != nil {
-			return nil, "", 0, err
+		cfg, err = parseTracePayload(payload)
+	default:
+		return nil, fmt.Errorf("assignment payload is neither %q nor %q", coordPayloadVersion, coordTracePayloadVersion)
+	}
+	if err != nil {
+		return nil, err
+	}
+	eng, err := newEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	wr := &workerRun{payload: bytes.Clone(payload), cfg: cfg, eng: eng, cells: cfg.shards}
+	if cfg.tracePath != "" {
+		if wr.f, wr.ir, err = openIndexedTrace(cfg.tracePath); err != nil {
+			return nil, err
 		}
-		eng, err := newEngine(cfg)
-		if err != nil {
-			return nil, "", 0, err
+		wr.cells = len(wr.ir.Index().Partition(cfg.grain))
+	}
+	return wr, nil
+}
+
+func (wr *workerRun) close() {
+	if wr.f != nil {
+		wr.f.Close()
+	}
+}
+
+// evaluateCell folds the assigned cell through the full report sink.
+func (wr *workerRun) evaluateCell(ctx context.Context, a pai.ShardAssignment, failAfter int, stderr io.Writer) (pai.Sink, string, int, error) {
+	cfg := wr.cfg
+	if a.Shards != wr.cells {
+		if wr.ir != nil {
+			return nil, "", 0, fmt.Errorf("%s yields a %d-cell grid at grain %d, assignment names %d", cfg.tracePath, wr.cells, cfg.grain, a.Shards)
 		}
-		f, ir, err := openIndexedTrace(cfg.tracePath)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		defer f.Close()
-		if cells := len(ir.Index().Partition(cfg.grain)); cells != a.Shards {
-			return nil, "", 0, fmt.Errorf("%s yields a %d-cell grid at grain %d, assignment names %d", cfg.tracePath, cells, cfg.grain, a.Shards)
-		}
-		factory := func() (pai.Sink, error) { return eng.NewReportSink(pai.ToAllReduceLocal) }
-		sink, n, err := eng.EvaluateIndexedCell(ctx, ir, cfg.grain, a.Index, factory)
+		return nil, "", 0, fmt.Errorf("assignment grid %d does not match payload shards %d", a.Shards, cfg.shards)
+	}
+	if wr.ir != nil {
+		factory := func() (pai.Sink, error) { return wr.eng.NewReportSink(pai.ToAllReduceLocal) }
+		sink, n, err := wr.eng.EvaluateIndexedCell(ctx, wr.ir, cfg.grain, a.Index, factory)
 		if err != nil {
 			return nil, "", 0, err
 		}
 		return sink, pai.ShardSnapshotMeta(traceMetaBase(cfg), a.Index), n, nil
-	default:
-		return nil, "", 0, fmt.Errorf("assignment payload is neither %q nor %q", coordPayloadVersion, coordTracePayloadVersion)
 	}
+	cfg.shardIndex = a.Index
+	cfg.failAfter = failAfter
+	sink, counts, _, err := stream(wr.eng, cfg, stderr)
+	if err != nil {
+		return nil, "", 0, err
+	}
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	return sink, shardMeta(cfg), n, nil
 }
 
 // syncWriter serializes writes from the coordinator's own logging and the

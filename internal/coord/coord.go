@@ -91,11 +91,11 @@ type Stats struct {
 type span struct{ lo, hi int }
 
 // Run coordinates one evaluation over a `cells`-wide grid: workers that
-// connect to ln pull contiguous cell ranges sized by their advertised
-// throughput (halved against the pending backlog so late joiners and
-// stragglers leave work to steal), stream one snapshot per cell back, and
-// cells that stall past opts.ShardTimeout are re-split and requeued for
-// other workers. The per-cell snapshots fold in cell order with the exact
+// connect to ln pull one cell at a time, or, when every worker advertised
+// a throughput hint, contiguous cell ranges sized by it (halved against the
+// pending backlog so late joiners and stragglers leave work to steal).
+// They stream one snapshot per cell back, and cells that stall past
+// opts.ShardTimeout are re-split and requeued for other workers. The per-cell snapshots fold in cell order with the exact
 // analyze merge, so the result is byte-identical to a single-process run
 // over the same grid no matter how the cells were distributed, stolen, or
 // retried. It returns the merged sink, per-cell job counts, and scheduler
@@ -348,35 +348,29 @@ func (st *state) admit(conn net.Conn, hint float64) {
 	st.lastProgress = time.Now()
 }
 
-// target computes how many cells conn's next assignment should carry: the
-// worker's capacity share of the pending backlog less one cell, halved,
-// and at least one cell. Halving keeps half the backlog behind for other
-// (and future) workers to pull or steal; leaving one cell out of the count
-// makes the lone first worker of a two- or three-cell grid — a small static
-// -shards run — take a single cell, as a static shard, so workers that join
-// a moment later still find one. Share comes from the handshake throughput
-// hints when every live worker advertised one, and falls back to an even
-// split otherwise — a worker twice as fast gets ranges twice as long, so
-// the straggler's tail shrinks instead of growing.
+// target computes how many cells conn's next assignment should carry. When
+// every live worker advertised a throughput hint, it is the worker's
+// capacity share of the pending backlog, halved (at least one cell):
+// halving keeps half the backlog behind for other and future workers to
+// pull or steal, and a worker twice as fast gets ranges twice as long, so
+// the straggler's tail shrinks instead of growing. Without a hint from
+// every worker there is nothing to weigh, so each pull takes a single cell
+// — one shard per worker at a time, as N workers over an N-shard grid
+// expect, however staggered their connections.
 func (st *state) target(conn net.Conn) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	sum := 0.0
-	allHinted := len(st.hints) > 0
 	for _, h := range st.hints {
 		if h <= 0 {
-			allHinted = false
-			break
+			return 1
 		}
 		sum += h
 	}
-	share := 1.0
-	if allHinted && sum > 0 {
-		share = st.hints[conn] / sum
-	} else if n := len(st.hints); n > 0 {
-		share = 1 / float64(n)
+	if sum == 0 {
+		return 1
 	}
-	return max(int(math.Ceil(float64(st.remaining-1)*share/2)), 1)
+	return max(int(math.Ceil(float64(st.remaining)*st.hints[conn]/sum/2)), 1)
 }
 
 // beginSpan charges one attempt for every cell of [lo, hi) and returns the
@@ -398,6 +392,19 @@ func (st *state) beginSpan(lo, hi int) (int, error) {
 	st.stats.Assignments++
 	st.lastProgress = time.Now()
 	return maxAttempt, nil
+}
+
+// lose requeues the unfinished tail [lo, hi) of a range lost to a dead,
+// stalled or misbehaving worker. The worker runs a range's cells in order,
+// so only cell lo was attempted: the attempts beginSpan charged to the rest
+// are refunded, and the budget counts cell attempts, not assignments.
+func (st *state) lose(lo, hi int, stolen, split bool) {
+	st.mu.Lock()
+	for i := lo + 1; i < hi; i++ {
+		st.attempts[i]--
+	}
+	st.mu.Unlock()
+	st.requeue(lo, hi, stolen, split)
 }
 
 // requeue returns the un-folded cells of [lo, hi) to the work queue. stolen
@@ -548,7 +555,7 @@ func (st *state) serve(conn net.Conn) {
 		}
 		if err := writeFrame(conn, msgRange, encodeRange(a)); err != nil {
 			st.opts.Logf("coord: cells [%d, %d): send to %s failed (%v); requeueing", s.lo, s.hi, conn.RemoteAddr(), err)
-			st.requeue(s.lo, s.hi, false, false)
+			st.lose(s.lo, s.hi, false, false)
 			return
 		}
 		if !st.collect(conn, s) {
@@ -583,7 +590,7 @@ func (st *state) collect(conn net.Conn, s span) bool {
 			} else {
 				st.opts.Logf("coord: worker %s lost with cells [%d, %d) in flight (%v); requeueing", conn.RemoteAddr(), next, s.hi, err)
 			}
-			st.requeue(next, s.hi, stolen, true)
+			st.lose(next, s.hi, stolen, true)
 			return false
 		}
 		st.setConn(conn, connIdle)
@@ -592,30 +599,30 @@ func (st *state) collect(conn net.Conn, s span) bool {
 			cell, _, jobs, snapshot, derr := decodeResult(p)
 			if derr != nil || cell != next {
 				st.opts.Logf("coord: bad result from %s (%v, cell %d, expected %d); requeueing tail", conn.RemoteAddr(), derr, cell, next)
-				st.requeue(next, s.hi, false, true)
+				st.lose(next, s.hi, false, true)
 				return false
 			}
 			if err := st.offer(cell, snapshot, jobs); err != nil {
 				st.opts.Logf("coord: cell %d snapshot from %s rejected (%v); requeueing tail", cell, conn.RemoteAddr(), err)
-				st.requeue(next, s.hi, false, true)
+				st.lose(next, s.hi, false, true)
 				return false
 			}
 			next++
 		case msgFail:
 			cell, _, msg, derr := decodeFail(p)
-			if derr != nil || cell < next || cell >= s.hi {
+			if derr != nil || cell != next {
 				if derr == nil {
-					derr = fmt.Errorf("failure names cell %d outside [%d, %d)", cell, next, s.hi)
+					derr = fmt.Errorf("failure names cell %d, expected %d", cell, next)
 				}
 				st.opts.Logf("coord: bad failure report from %s (%v); requeueing tail", conn.RemoteAddr(), derr)
-				st.requeue(next, s.hi, false, true)
+				st.lose(next, s.hi, false, true)
 				return false
 			}
 			// The worker is alive and spoke the protocol: requeue the failed
 			// cell onward and keep serving it — after a pause, so another
 			// parked worker takes the requeued span first.
 			st.opts.Logf("coord: worker %s reports at cell %d: %s; requeueing [%d, %d)", conn.RemoteAddr(), cell, msg, cell, s.hi)
-			st.requeue(cell, s.hi, false, false)
+			st.lose(cell, s.hi, false, false)
 			select {
 			case <-st.done:
 			case <-time.After(failureBackoff):
@@ -623,7 +630,7 @@ func (st *state) collect(conn net.Conn, s span) bool {
 			return true
 		default:
 			st.opts.Logf("coord: unexpected %q frame from %s; requeueing tail", typ, conn.RemoteAddr())
-			st.requeue(next, s.hi, false, true)
+			st.lose(next, s.hi, false, true)
 			return false
 		}
 	}

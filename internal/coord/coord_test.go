@@ -105,21 +105,27 @@ func listen(tb testing.TB) net.Listener {
 	return ln
 }
 
-// startWorkers launches n Work loops sharing run and returns a wait
-// function that reports their errors.
+// startWorkers launches n hint-less Work loops sharing run and returns a
+// wait function that reports their errors.
 func startWorkers(ctx context.Context, addr string, run Runner, n int) func() []error {
+	return startHintedWorkers(ctx, addr, run, n, 0)
+}
+
+// startHintedWorkers is startWorkers with every worker advertising hint, so
+// a run whose workers all hint hands out multi-cell ranges.
+func startHintedWorkers(ctx context.Context, addr string, run Runner, n int, hint float64) func() []error {
 	runs := make([]Runner, n)
 	for i := range runs {
 		runs[i] = run
 	}
-	return launch(ctx, addr, runs)
+	return launch(ctx, addr, hint, runs)
 }
 
 // startGatedWorkers is startWorkers for the happy-path fold tests: every
 // worker's runner waits until all n workers have been handed a range, so no
 // cell folds — and the run cannot finish — before the last worker has
-// joined. Halving the backlog leaves at least one cell for each of them, so
-// the gate cannot deadlock.
+// joined. Hint-less workers pull one cell at a time, so with at least n
+// cells each of them is handed one and the gate cannot deadlock.
 func startGatedWorkers(ctx context.Context, addr string, run Runner, n int) func() []error {
 	var joined atomic.Int32
 	all := make(chan struct{})
@@ -140,17 +146,17 @@ func startGatedWorkers(ctx context.Context, addr string, run Runner, n int) func
 			return run(ctx, a)
 		}
 	}
-	return launch(ctx, addr, runs)
+	return launch(ctx, addr, 0, runs)
 }
 
-func launch(ctx context.Context, addr string, runs []Runner) func() []error {
+func launch(ctx context.Context, addr string, hint float64, runs []Runner) func() []error {
 	errs := make([]error, len(runs))
 	var wg sync.WaitGroup
 	for i, run := range runs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = Work(ctx, addr, 0, run)
+			errs[i] = Work(ctx, addr, hint, run)
 		}()
 	}
 	return func() []error {
@@ -159,48 +165,55 @@ func launch(ctx context.Context, addr string, runs []Runner) func() []error {
 	}
 }
 
-// TestRunMatchesDirectFold: two networked workers over loopback TCP must
-// fold a static shard grid — one cell per round-robin shard — to bytes
-// identical to the in-process shard merge.
+// TestRunMatchesDirectFold: networked workers over loopback TCP must fold
+// a static shard grid — one cell per round-robin shard — to bytes
+// identical to the in-process shard merge. In the eight-by-eight case the
+// gate holds every cell until each hint-less worker has been handed a
+// shard, so the run only finishes if no early worker took several shards
+// and left later ones idle.
 func TestRunMatchesDirectFold(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
 	b := testBackend(t)
 	jobs := testJobs(t, 400)
-	const shards = 3
-	const base = "coordtest run=1"
+	for _, tc := range []struct{ shards, workers int }{{3, 2}, {8, 8}} {
+		t.Run(fmt.Sprintf("%dshards_%dworkers", tc.shards, tc.workers), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			shards := tc.shards
+			const base = "coordtest run=1"
 
-	ln := listen(t)
-	wait := startGatedWorkers(ctx, ln.Addr().String(), testRunner(t, b, jobs, base), 2)
-	sink, counts, _, err := Run(ctx, ln, shards, []byte("payload"), Options{Provenance: base})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, werr := range wait() {
-		if werr != nil {
-			t.Errorf("worker error: %v", werr)
-		}
-	}
-	total := 0
-	for i, c := range counts {
-		want := len(jobs) / shards
-		if i < len(jobs)%shards {
-			want++
-		}
-		if c != want {
-			t.Errorf("shard %d count = %d, want %d", i, c, want)
-		}
-		total += c
-	}
-	if total != len(jobs) {
-		t.Errorf("total jobs = %d, want %d", total, len(jobs))
-	}
-	raw, err := sink.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, directFoldBytes(t, b, jobs, shards)) {
-		t.Error("networked fold is not byte-identical to the direct shard merge")
+			ln := listen(t)
+			wait := startGatedWorkers(ctx, ln.Addr().String(), testRunner(t, b, jobs, base), tc.workers)
+			sink, counts, _, err := Run(ctx, ln, shards, []byte("payload"), Options{Provenance: base})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, werr := range wait() {
+				if werr != nil {
+					t.Errorf("worker error: %v", werr)
+				}
+			}
+			total := 0
+			for i, c := range counts {
+				want := len(jobs) / shards
+				if i < len(jobs)%shards {
+					want++
+				}
+				if c != want {
+					t.Errorf("shard %d count = %d, want %d", i, c, want)
+				}
+				total += c
+			}
+			if total != len(jobs) {
+				t.Errorf("total jobs = %d, want %d", total, len(jobs))
+			}
+			raw, err := sink.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(raw, directFoldBytes(t, b, jobs, shards)) {
+				t.Error("networked fold is not byte-identical to the direct shard merge")
+			}
+		})
 	}
 }
 

@@ -106,7 +106,7 @@ func TestRunDynamicMatchesDirectFold(t *testing.T) {
 		t.Errorf("stats.Workers = %d, want 3", stats.Workers)
 	}
 	if stats.Assignments < 2 {
-		t.Errorf("stats.Assignments = %d; capacity halving should force multiple pulls", stats.Assignments)
+		t.Errorf("stats.Assignments = %d; one cell per pull should force multiple pulls", stats.Assignments)
 	}
 	raw, err := sink.MarshalBinary()
 	if err != nil {
@@ -132,8 +132,9 @@ func TestRunDynamicStealsFromStraggler(t *testing.T) {
 	ln := listen(t)
 	// Slow worker: full speed on its very first cell, then sleeps far past
 	// the deadline before every later one — the straggler shape. It is the
-	// only worker connected when the run starts, so it must pull a multi-cell
-	// span, emit one cell, and stall with the rest in flight.
+	// only worker connected when the run starts and, like every worker here,
+	// advertises a throughput hint, so it must pull a multi-cell span, emit
+	// one cell, and stall with the rest in flight.
 	firstEmitted := make(chan struct{}, 1)
 	var sawFirst atomic.Bool
 	slow := testCellRunner(t, b, jobs, base, func(cell int) {
@@ -146,7 +147,7 @@ func TestRunDynamicStealsFromStraggler(t *testing.T) {
 		}
 		time.Sleep(2 * time.Second)
 	})
-	waitSlow := startWorkers(ctx, ln.Addr().String(), slow, 1)
+	waitSlow := startHintedWorkers(ctx, ln.Addr().String(), slow, 1, 1000)
 
 	type outcome struct {
 		sink  analyze.Sink
@@ -169,7 +170,7 @@ func TestRunDynamicStealsFromStraggler(t *testing.T) {
 	case <-ctx.Done():
 		t.Fatal("slow worker never started its second cell")
 	}
-	waitFast := startWorkers(ctx, ln.Addr().String(), testCellRunner(t, b, jobs, base, nil), 1)
+	waitFast := startHintedWorkers(ctx, ln.Addr().String(), testCellRunner(t, b, jobs, base, nil), 1, 1000)
 
 	out := <-runDone
 	if out.err != nil {
@@ -317,8 +318,8 @@ func TestRunDynamicPartialRangeFailure(t *testing.T) {
 	const cells = 5
 	const base = "dyntest run=partial"
 
-	// The lone worker pulls a multi-cell range first; its second cell
-	// fails once.
+	// The lone worker advertises a hint, so it pulls a multi-cell range
+	// first; its second cell fails once.
 	var calls atomic.Int32
 	flaky := func(ctx context.Context, a Assignment) (analyze.Sink, string, int, error) {
 		if calls.Add(1) == 2 {
@@ -328,7 +329,7 @@ func TestRunDynamicPartialRangeFailure(t *testing.T) {
 		return acc, analyze.ShardMeta(base, a.Index), n, nil
 	}
 	ln := listen(t)
-	wait := startWorkers(ctx, ln.Addr().String(), flaky, 1)
+	wait := startHintedWorkers(ctx, ln.Addr().String(), flaky, 1, 1000)
 	sink, counts, _, err := Run(ctx, ln, cells, nil, Options{Provenance: base, MaxAttempts: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -350,9 +351,50 @@ func TestRunDynamicPartialRangeFailure(t *testing.T) {
 	}
 }
 
+// TestBudgetCountsCellAttempts: the attempt budget counts the times a cell
+// was run, not the ranges it rode in. Cells 0 and 1 each fail their first
+// run; cell 1 is handed out three times (unstarted behind cell 0, failing,
+// then folding) but runs only twice, so MaxAttempts 2 must suffice.
+func TestBudgetCountsCellAttempts(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	b := testBackend(t)
+	jobs := testJobs(t, 200)
+	const cells = 8
+	const base = "dyntest run=budget"
+
+	var mu sync.Mutex
+	runs := map[int]int{}
+	flaky := func(ctx context.Context, a Assignment) (analyze.Sink, string, int, error) {
+		mu.Lock()
+		runs[a.Index]++
+		first := runs[a.Index] == 1
+		mu.Unlock()
+		if first && a.Index <= 1 {
+			return nil, "", 0, fmt.Errorf("first run of cell %d fails", a.Index)
+		}
+		acc, n := cellFold(t, b, jobs, a.Shards, a.Index)
+		return acc, analyze.ShardMeta(base, a.Index), n, nil
+	}
+	ln := listen(t)
+	wait := startHintedWorkers(ctx, ln.Addr().String(), flaky, 1, 1000)
+	sink, _, _, err := Run(ctx, ln, cells, nil, Options{Provenance: base, MaxAttempts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait()
+	raw, err := sink.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, directCellFoldBytes(t, b, jobs, cells)) {
+		t.Error("post-failure fold is not byte-identical to the direct cell merge")
+	}
+}
+
 // TestDynamicTargetCapacityWeighting: a worker advertising 3x the
 // throughput must be offered a ~3x span, both halved against the backlog;
-// workers without hints fall back to an even split.
+// once any worker is without a hint, every pull takes one cell.
 func TestDynamicTargetCapacityWeighting(t *testing.T) {
 	st := newState(context.Background(), 100, nil, Options{})
 	fastC, fastP := net.Pipe()
@@ -374,14 +416,15 @@ func TestDynamicTargetCapacityWeighting(t *testing.T) {
 		t.Errorf("slow target = %d, want 13", got)
 	}
 
-	// A hint-less worker joining degrades everyone to the even split.
+	// A hint-less worker joining leaves nothing to weigh: every pull takes
+	// a single cell, as the shards of a static grid do.
 	plainC, plainP := net.Pipe()
 	defer plainC.Close()
 	defer plainP.Close()
 	st.beginHandler(plainC)
 	st.admit(plainC, 0)
-	if got := st.target(fastC); got != 17 {
-		t.Errorf("fast target with hint-less peer = %d, want 17 (even third, halved)", got)
+	if got := st.target(fastC); got != 1 {
+		t.Errorf("fast target with hint-less peer = %d, want 1 (one cell per pull)", got)
 	}
 }
 

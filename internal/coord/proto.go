@@ -1,7 +1,8 @@
 // Package coord runs one logical evaluation across networked workers as a
-// work-stealing grid: a coordinator listens on TCP and splits a Cells-wide
-// partition grid into contiguous cell ranges; workers dial in (spawn-local
-// or from other machines), evaluate each cell of the range they pulled,
+// work-stealing grid: a coordinator listens on TCP and hands out a
+// Cells-wide partition grid one cell per pull, or in contiguous cell ranges
+// weighted by throughput when every worker advertises a hint; workers dial
+// in (spawn-local or from other machines), evaluate each cell they pulled,
 // and stream one sink snapshot per cell back over the connection; the
 // coordinator folds the cells in cell order with the exact analyze merge —
 // no shared filesystem, no snapshot files. A static N-shard run is the same
@@ -10,8 +11,8 @@
 // The coordinator tolerates failure: a per-cell progress deadline and
 // connection-loss detection requeue the unfinished tail of a range (re-split
 // so several workers can steal it), a reported failure requeues the failed
-// cell onward and pauses that worker briefly, attempts are bounded per
-// cell, and the fold is at-most-once per cell, guarded by the provenance
+// cell onward and pauses that worker briefly, the runs of each cell are
+// bounded by an attempt budget, and the fold is at-most-once per cell, guarded by the provenance
 // carried inside every snapshot. Because per-cell folds and the cell-order
 // fold are deterministic, a run that lost, stole and retried cells still
 // merges byte-identically to the single-process run over the same grid.
@@ -170,8 +171,8 @@ func decodeHello(p []byte) (float64, error) {
 // rangeAssign is the payload of one range frame: evaluate the contiguous
 // cell span [Lo, Hi) of a Cells-wide grid and stream one result frame per
 // cell, in cell order. Attempt is the highest per-cell attempt number the
-// span carries (every cell's attempt was charged when the span was
-// assigned). The worker hands each cell to its Runner as an Assignment.
+// span carries (every cell's attempt is charged when the span is assigned,
+// and refunded if the span is lost before the worker started that cell). The worker hands each cell to its Runner as an Assignment.
 type rangeAssign struct {
 	Cells      int
 	Lo, Hi     int

@@ -529,9 +529,9 @@ func SnapshotShardIndex(meta string) (index int, ok bool) { return analyze.MetaS
 func SnapshotMetaBase(meta string) string { return analyze.MetaBase(meta) }
 
 // CoordinateShards runs the network coordinator standalone over a
-// cells-wide grid: workers that connect to ln pull contiguous cell ranges,
-// sized by their advertised throughput and halved against the pending
-// backlog; a worker that dies, or stalls past the per-cell deadline, has its
+// cells-wide grid: workers that connect to ln pull one cell at a time or,
+// when every worker advertised a throughput hint, contiguous cell ranges
+// sized by it and halved against the pending backlog; a worker that dies, or stalls past the per-cell deadline, has its
 // unfinished tail re-split and requeued for other workers to steal. Cell
 // snapshots fold in cell order, so the merged sink is byte-identical to the
 // single-process run over the same grid — EvaluateSourcesInto over N
