@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/analyze"
 	"repro/internal/backend"
@@ -206,12 +207,12 @@ type state struct {
 	gpusPerServer int
 	totalGPUs     int
 
-	// free[s] is server s's currently free GPU count; used/usedGen are the
-	// placement scratch (generation-stamped so attempts never re-zero).
-	free    []int
-	used    []int
-	usedGen []uint64
-	gen     uint64
+	// free[s] is server s's currently free GPU count; index buckets the
+	// servers by free[s] for placement, and moves is its per-attempt undo
+	// log.
+	free  []int
+	index freeIndex
+	moves []move
 
 	pending pendingHeap
 	events  eventHeap
@@ -236,14 +237,14 @@ func newState(cfg Config, pol sched.Policy, factor float64, sink analyze.Sink) *
 		gpusPerServer: cfg.Cluster.Config().GPUsPerServer,
 		totalGPUs:     cfg.Cluster.NumGPUs(),
 		free:          make([]int, n),
-		used:          make([]int, n),
-		usedGen:       make([]uint64, n),
 	}
+	st.index = newFreeIndex(n, st.gpusPerServer)
 	st.servers = make([]cluster.Server, n)
 	for i := 0; i < n; i++ {
 		srv, _ := cfg.Cluster.Server(i)
 		st.servers[i] = srv
 		st.free[i] = srv.NumGPUs
+		st.index.add(srv.NumGPUs, i)
 	}
 	st.pending.policy = pol
 	return st
@@ -270,6 +271,11 @@ func (st *state) submit(index int, f workload.Features, times core.Times) error 
 	st.now = arrival
 	st.submitted++
 
+	if f.CNodes < 1 {
+		// Gangs are sized from CNodes; placement assumes every gang is
+		// at least one GPU.
+		return fmt.Errorf("replay: job %d (%q): CNodes must be positive, got %d", index, f.Name, f.CNodes)
+	}
 	steps := 1
 	if st.cfg.Steps != nil {
 		steps = st.cfg.Steps(index, f)
@@ -348,10 +354,7 @@ func (st *state) advanceTo(t float64) error {
 	for st.events.Len() > 0 && st.events.items[0].time <= t {
 		at := st.events.items[0].time
 		for st.events.Len() > 0 && st.events.items[0].time == at {
-			e := heap.Pop(&st.events).(event)
-			for _, a := range e.alloc {
-				st.free[a.server] += a.gpus
-			}
+			st.release(heap.Pop(&st.events).(event).alloc)
 		}
 		st.now = at
 		if err := st.schedule(); err != nil {
@@ -371,9 +374,7 @@ func (st *state) schedule() error {
 			return nil
 		}
 		j := heap.Pop(&st.pending).(pendingJob)
-		for _, a := range alloc {
-			st.free[a.server] -= a.gpus
-		}
+		st.take(alloc)
 		start := st.now
 		finish := start + j.q.Duration
 		st.completed++
@@ -401,49 +402,147 @@ type allocation struct {
 	server, gpus int
 }
 
-// tryPlace attempts the greedy placement: for each gang (largest first),
-// the server with the most free GPUs that fits it — ties to the lowest
-// server index — respecting distinctness. It returns the per-server
-// allocation, or ok=false leaving no state modified. The linear scan per
-// gang (instead of SimulateWith's per-attempt sort) keeps a 100k-job replay
-// on a 128-server cluster in the millions-of-comparisons range.
+// take moves a placed job's GPUs from free to held.
+func (st *state) take(alloc []allocation) {
+	for _, a := range alloc {
+		st.setFree(a.server, st.free[a.server]-a.gpus)
+	}
+}
+
+// release returns a finished job's GPUs to the free pool.
+func (st *state) release(alloc []allocation) {
+	for _, a := range alloc {
+		st.setFree(a.server, st.free[a.server]+a.gpus)
+	}
+}
+
+// setFree sets server s's free GPU count to n, keeping the index in step.
+func (st *state) setFree(s, n int) {
+	st.index.remove(st.free[s], s)
+	st.index.add(n, s)
+	st.free[s] = n
+}
+
+// tryPlace attempts the greedy placement of gangs (largest first): each
+// gang goes to the server with the most free GPUs that fits it, ties to the
+// lowest server index, and a distinct placement never puts two gangs on one
+// server. It returns the per-server allocation, or
+// ok=false leaving no state modified.
+//
+// Outside an attempt the index holds every server s in bucket free[s], so
+// a gang of g takes the lowest server of the highest non-empty bucket >= g:
+// O(GPUsPerServer) count probes plus a scan to the bucket's first non-zero
+// word, instead of a pass over every server. Within the attempt a chosen
+// server drops g buckets (a distinct placement takes it out of the index
+// instead), so later gangs see what earlier ones left, and the undo log
+// restores the index before returning. A head that needs more GPUs than
+// are free, or more distinct servers than have a free GPU, is refused
+// before any probe; the check reads only the gangs and the bucket counts,
+// which keeps a blocked head cheap to retry on every departure.
 func (st *state) tryPlace(gangs []int, distinct bool) ([]allocation, bool) {
-	st.gen++
-	alloc := make([]allocation, 0, len(gangs))
+	x := &st.index
+	gpus := 0
 	for _, g := range gangs {
-		best, bestAvail := -1, -1
-		for s := range st.free {
-			held := 0
-			if st.usedGen[s] == st.gen {
-				held = st.used[s]
-			}
-			if distinct && held > 0 {
-				continue
-			}
-			if avail := st.free[s] - held; avail >= g && avail > bestAvail {
-				best, bestAvail = s, avail
-			}
+		gpus += g
+	}
+	if gpus > x.freeGPUs() || distinct && len(gangs) > len(st.free)-x.count[0] {
+		return nil, false
+	}
+	moves := st.moves[:0]
+	ok := true
+	for _, g := range gangs {
+		k := st.gpusPerServer
+		for k >= g && x.count[k] == 0 {
+			k--
 		}
-		if best < 0 {
-			return nil, false
+		if k < g {
+			ok = false
+			break
 		}
-		if st.usedGen[best] != st.gen {
-			st.usedGen[best] = st.gen
-			st.used[best] = 0
+		s := x.lowest(k)
+		x.remove(k, s)
+		to := -1
+		if !distinct {
+			to = k - g
+			x.add(to, s)
 		}
-		st.used[best] += g
-		alloc = append(alloc, allocation{server: best, gpus: g})
+		moves = append(moves, move{server: s, from: k, to: to})
+	}
+	for i := len(moves) - 1; i >= 0; i-- {
+		m := moves[i]
+		if m.to >= 0 {
+			x.remove(m.to, m.server)
+		}
+		x.add(m.from, m.server)
+	}
+	st.moves = moves
+	if !ok {
+		return nil, false
 	}
 	// Merge same-server entries (non-distinct placements may stack gangs).
-	merged := alloc[:0]
-	for _, a := range alloc {
-		if n := len(merged); n > 0 && merged[n-1].server == a.server {
-			merged[n-1].gpus += a.gpus
+	alloc := make([]allocation, 0, len(moves))
+	for i, m := range moves {
+		if n := len(alloc); n > 0 && alloc[n-1].server == m.server {
+			alloc[n-1].gpus += gangs[i]
 			continue
 		}
-		merged = append(merged, a)
+		alloc = append(alloc, allocation{server: m.server, gpus: gangs[i]})
 	}
-	return merged, true
+	return alloc, true
+}
+
+// move is one tentative step of a placement attempt: server left bucket
+// from for bucket to, or for no bucket (-1) when a distinct placement took
+// it.
+type move struct {
+	server, from, to int
+}
+
+// freeIndex buckets servers by free GPU count: one bitset of server
+// indices per count 0..GPUsPerServer, plus each bucket's population.
+type freeIndex struct {
+	words int      // uint64 words per bucket
+	bits  []uint64 // bucket k is bits[k*words : (k+1)*words]
+	count []int
+}
+
+func newFreeIndex(servers, gpusPerServer int) freeIndex {
+	words := (servers + 63) / 64
+	return freeIndex{
+		words: words,
+		bits:  make([]uint64, (gpusPerServer+1)*words),
+		count: make([]int, gpusPerServer+1),
+	}
+}
+
+func (x *freeIndex) add(k, s int) {
+	x.bits[k*x.words+s/64] |= 1 << (s % 64)
+	x.count[k]++
+}
+
+func (x *freeIndex) remove(k, s int) {
+	x.bits[k*x.words+s/64] &^= 1 << (s % 64)
+	x.count[k]--
+}
+
+// freeGPUs returns the free GPUs across all servers: sum of k*count[k].
+func (x *freeIndex) freeGPUs() int {
+	n := 0
+	for k, c := range x.count {
+		n += k * c
+	}
+	return n
+}
+
+// lowest returns the lowest server index in bucket k, which must be
+// non-empty.
+func (x *freeIndex) lowest(k int) int {
+	for w, word := range x.bits[k*x.words : (k+1)*x.words] {
+		if word != 0 {
+			return w*64 + bits.TrailingZeros64(word)
+		}
+	}
+	panic("replay: lowest of an empty free-capacity bucket")
 }
 
 // drain runs the simulation to completion after the last arrival.
@@ -559,6 +658,7 @@ func (h *pendingHeap) Pop() any {
 	old := h.items
 	n := len(old)
 	item := old[n-1]
+	old[n-1] = pendingJob{} // drop the slot's name and gang references
 	h.items = old[:n-1]
 	return item
 }
@@ -588,6 +688,7 @@ func (h *eventHeap) Pop() any {
 	old := h.items
 	n := len(old)
 	item := old[n-1]
+	old[n-1] = event{} // drop the slot's allocation reference
 	h.items = old[:n-1]
 	return item
 }

@@ -3,8 +3,15 @@ package replay
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
+	"math/bits"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/analyze"
@@ -109,6 +116,13 @@ func TestRunValidation(t *testing.T) {
 		Steps: func(int, workload.Features) int { return 0 }}
 	if _, err := Run(ctx, ev, 1, src(), badSteps, nil); err == nil {
 		t.Error("expected error for non-positive steps")
+	}
+	// The analytical backend refuses such a record itself; the replay
+	// guards placement against evaluators that do not.
+	noNodes := quickJob("a", 0)
+	noNodes.Class, noNodes.CNodes = workload.OneWorkerNGPU, 0
+	if _, err := Run(ctx, flopsEvaluator{}, 1, stream.NewSliceSource([]workload.Features{noNodes}), Config{Cluster: cl}, nil); err == nil {
+		t.Error("expected error for zero CNodes")
 	}
 }
 
@@ -391,6 +405,228 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 	for _, par := range []int{2, 8} {
 		if !bytes.Equal(base, snapshot(par)) {
 			t.Errorf("parallelism %d produced a different fleet snapshot", par)
+		}
+	}
+}
+
+// flopsEvaluator predicts one second of compute per TFLOP and nothing
+// else, so synthetic traces pick their own runtimes independently of the
+// backend models.
+type flopsEvaluator struct{}
+
+func (flopsEvaluator) Breakdown(f workload.Features) (core.Times, error) {
+	return core.Times{ComputeFLOPs: f.FLOPs / 1e12}, nil
+}
+
+// contendedJobs is a synthetic trace that keeps a small Baseline pod (8
+// GPUs per server) busy with a standing queue: half 1w1g jobs, the rest
+// single-server 1wNg, distinct-server PS and multi-server
+// AllReduce-Cluster gangs. Arrival gaps are uniform over 1 to
+// 2*meanGapSec-1 seconds and runtimes 1 to 100 seconds, all whole, so every
+// time, delay and GPU-second a replay derives from them is an integer held
+// exactly in float64.
+func contendedJobs(n int, seed int64, meanGapSec int) []workload.Features {
+	rng := rand.New(rand.NewSource(seed))
+	jobs := make([]workload.Features, n)
+	arrival := 0.0
+	for i := range jobs {
+		arrival += float64(1 + rng.Intn(2*meanGapSec-1))
+		f := workload.Features{
+			Name: fmt.Sprintf("job-%d", i), Class: workload.OneWorkerOneGPU, CNodes: 1,
+			BatchSize: 8, FLOPs: float64(1+rng.Intn(100)) * 1e12, ArrivalSec: arrival,
+		}
+		switch r := rng.Intn(20); {
+		case r < 10:
+		case r < 14:
+			f.Class, f.CNodes = workload.OneWorkerNGPU, 2+rng.Intn(7)
+		case r < 17:
+			f.Class, f.CNodes = workload.PSWorker, 1+rng.Intn(7)
+		default:
+			f.Class, f.CNodes = workload.AllReduceCluster, 4+rng.Intn(21)
+		}
+		jobs[i] = f
+	}
+	return jobs
+}
+
+// TestGoldenContendedReplay pins the exact schedule of a contended replay,
+// per policy: the sha256 of the counter and utilization snapshots, every
+// job's start, finish and GPU/server counts, and the Result. Unlike the
+// parallelism check, which compares the current code with itself, this
+// catches any placement change that moves a queued job's start. Every
+// hashed value is a whole number of seconds or GPU-seconds, so no rounding
+// can differ between architectures, including those whose compiler fuses
+// multiply-adds. The queue-delay sketch is left out for that reason: its
+// running variance and log-spaced bin edges are not exact; the delays it
+// folds are pinned through the starts. The digests were recorded with the
+// original linear-scan placement.
+func TestGoldenContendedReplay(t *testing.T) {
+	jobs := contendedJobs(2000, 11, 8)
+	for _, tc := range []struct {
+		policy, digest string
+	}{
+		{sched.FIFOName, "d799427b4b214fc3b366aa9b36a2603cdded534cf8ff9d7d236b7da5a080e7b3"},
+		{sched.SJFName, "6ec0adc8c49b9b76a4fafc8cc1013579c2b5b0261e17b1c15bf0f304cd7815e6"},
+	} {
+		t.Run(tc.policy, func(t *testing.T) {
+			cl := testCluster(t, 6)
+			util, err := NewUtilizationSink(10, cl.NumGPUs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			counters, outcomes := NewCounterSink(), &captureSink{}
+			res, err := Run(context.Background(), flopsEvaluator{}, 2, stream.NewSliceSource(jobs), Config{
+				Cluster:           cl,
+				Policy:            tc.policy,
+				StragglerFraction: 0.1,
+				StragglerFactor:   3,
+				StragglerSeed:     5,
+			}, analyze.NewMultiSink(counters, util, outcomes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.MaxQueueDepth < 20 || res.Rejected == 0 || res.Completed+res.Rejected != len(jobs) {
+				t.Fatalf("trace is not contended as intended: %+v", res)
+			}
+			h := sha256.New()
+			for _, s := range []analyze.Sink{counters, util} {
+				snap, err := s.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Write(snap)
+			}
+			for _, o := range outcomes.outcomes {
+				fmt.Fprintf(h, "%d %v %v %d %d %v %v\n", o.Index, o.Start, o.Finish, o.GPUs, o.Servers, o.Straggler, o.Rejected)
+			}
+			fmt.Fprintf(h, "%+v", res)
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
+				t.Errorf("digest = %s, want %s (result %+v)", got, tc.digest, res)
+			}
+		})
+	}
+}
+
+// linearPlace is the reference placement tryPlace's index must reproduce:
+// for each gang (largest first), scan every server for the one with the
+// most free GPUs that fits it, ties to the lowest index, skipping servers
+// a distinct placement already used.
+func linearPlace(free, gangs []int, distinct bool) ([]allocation, bool) {
+	used := make([]int, len(free))
+	alloc := make([]allocation, 0, len(gangs))
+	for _, g := range gangs {
+		best, bestAvail := -1, -1
+		for s := range free {
+			if distinct && used[s] > 0 {
+				continue
+			}
+			if avail := free[s] - used[s]; avail >= g && avail > bestAvail {
+				best, bestAvail = s, avail
+			}
+		}
+		if best < 0 {
+			return nil, false
+		}
+		used[best] += g
+		alloc = append(alloc, allocation{server: best, gpus: g})
+	}
+	// Merge same-server entries (non-distinct placements may stack gangs).
+	merged := alloc[:0]
+	for _, a := range alloc {
+		if n := len(merged); n > 0 && merged[n-1].server == a.server {
+			merged[n-1].gpus += a.gpus
+			continue
+		}
+		merged = append(merged, a)
+	}
+	return merged, true
+}
+
+// checkIndex asserts the free-capacity index invariant: server s is in
+// bucket free[s] and no other, and the bucket counts are the populations.
+func checkIndex(t *testing.T, st *state) {
+	t.Helper()
+	x := &st.index
+	for s, n := range st.free {
+		for k := range x.count {
+			in := x.bits[k*x.words+s/64]&(1<<(s%64)) != 0
+			if in != (k == n) {
+				t.Fatalf("server %d (free %d): membership of bucket %d is %v", s, n, k, in)
+			}
+		}
+	}
+	for k, c := range x.count {
+		pop := 0
+		for _, w := range x.bits[k*x.words : (k+1)*x.words] {
+			pop += bits.OnesCount64(w)
+		}
+		if pop != c {
+			t.Fatalf("bucket %d holds %d servers, count says %d", k, pop, c)
+		}
+	}
+}
+
+// TestIndexedPlacementMatchesLinearScan drives the replay state through
+// random take/release sequences and compares every indexed placement
+// attempt with the linear-scan oracle, over server counts that straddle
+// bitset word boundaries and several server widths, for distinct and
+// stacking gangs alike.
+func TestIndexedPlacementMatchesLinearScan(t *testing.T) {
+	pol, err := sched.NewPolicy(sched.FIFOName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, servers := range []int{1, 63, 64, 65, 130} {
+		for _, width := range []int{1, 4, 8} {
+			hc := hw.Baseline()
+			hc.GPUsPerServer = width
+			cl, err := cluster.New(hc, servers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := newState(Config{Cluster: cl}, pol, 1, nil)
+			rng := rand.New(rand.NewSource(int64(servers*10 + width)))
+			var live [][]allocation
+			placed, refused := 0, 0
+			for step := 0; step < 3000; step++ {
+				if len(live) > 0 && rng.Intn(4) == 0 {
+					i := rng.Intn(len(live))
+					st.release(live[i])
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+					checkIndex(t, st)
+					continue
+				}
+				distinct := rng.Intn(2) == 0
+				n := 1 + rng.Intn(4)
+				if rng.Intn(8) == 0 {
+					n = 1 + rng.Intn(servers+2) // wide heads probe the distinct-server gate
+				}
+				gangs := make([]int, n)
+				for i := range gangs {
+					gangs[i] = 1 + rng.Intn(width)
+				}
+				sort.Sort(sort.Reverse(sort.IntSlice(gangs)))
+
+				want, wantOK := linearPlace(st.free, gangs, distinct)
+				got, ok := st.tryPlace(gangs, distinct)
+				if ok != wantOK || !reflect.DeepEqual(got, want) {
+					t.Fatalf("servers=%d width=%d step %d: gangs %v distinct=%v free %v: got %v,%v want %v,%v",
+						servers, width, step, gangs, distinct, st.free, got, ok, want, wantOK)
+				}
+				if !ok {
+					refused++
+					checkIndex(t, st)
+					continue
+				}
+				placed++
+				st.take(got)
+				live = append(live, got)
+				checkIndex(t, st)
+			}
+			if placed == 0 || refused == 0 {
+				t.Errorf("servers=%d width=%d: %d placed, %d refused; want both", servers, width, placed, refused)
+			}
 		}
 	}
 }
