@@ -24,7 +24,6 @@
 package replay
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -214,9 +213,12 @@ type state struct {
 	index freeIndex
 	moves []move
 
-	pending pendingHeap
+	pending pendingQueue
 	events  eventHeap
 	seq     int
+	// spare holds released events' allocation slices for tryPlace to
+	// reuse.
+	spare [][]allocation
 
 	now         float64
 	lastArrival float64
@@ -300,8 +302,8 @@ func (st *state) submit(index int, f workload.Features, times core.Times) error 
 		reason = fmt.Sprintf("class %v requires NVLink servers", f.Class)
 	case place.Servers() > len(st.servers):
 		reason = fmt.Sprintf("needs %d distinct servers, cluster has %d", place.Servers(), len(st.servers))
-	case st.cfg.QueueLimit > 0 && st.pending.Len() >= st.cfg.QueueLimit:
-		reason = fmt.Sprintf("admission queue full (%d pending)", st.pending.Len())
+	case st.cfg.QueueLimit > 0 && st.pending.len() >= st.cfg.QueueLimit:
+		reason = fmt.Sprintf("admission queue full (%d pending)", st.pending.len())
 	}
 	if reason != "" {
 		st.rejected++
@@ -326,13 +328,13 @@ func (st *state) submit(index int, f workload.Features, times core.Times) error 
 			gangs[j], gangs[j-1] = gangs[j-1], gangs[j]
 		}
 	}
-	heap.Push(&st.pending, pendingJob{
+	st.pending.push(pendingJob{
 		q: sched.QueuedJob{Index: index, Arrival: arrival, Duration: duration, GPUs: place.GPUs()},
 		f: f, times: times, steps: steps,
 		gangs: gangs, distinct: place.Distinct, straggler: straggler,
 	})
-	if st.pending.Len() > st.maxQueueDepth {
-		st.maxQueueDepth = st.pending.Len()
+	if st.pending.len() > st.maxQueueDepth {
+		st.maxQueueDepth = st.pending.len()
 	}
 	return st.schedule()
 }
@@ -351,10 +353,12 @@ func knownClass(c workload.Class) bool {
 // advanceTo processes every completion event up to and including time t,
 // re-scheduling after each release instant.
 func (st *state) advanceTo(t float64) error {
-	for st.events.Len() > 0 && st.events.items[0].time <= t {
+	for st.events.len() > 0 && st.events.items[0].time <= t {
 		at := st.events.items[0].time
-		for st.events.Len() > 0 && st.events.items[0].time == at {
-			st.release(heap.Pop(&st.events).(event).alloc)
+		for st.events.len() > 0 && st.events.items[0].time == at {
+			alloc := st.events.pop().alloc
+			st.release(alloc)
+			st.spare = append(st.spare, alloc[:0])
 		}
 		st.now = at
 		if err := st.schedule(); err != nil {
@@ -367,13 +371,13 @@ func (st *state) advanceTo(t float64) error {
 // schedule starts queue heads while they fit (head-of-line blocking under
 // the configured policy's order).
 func (st *state) schedule() error {
-	for st.pending.Len() > 0 {
-		head := &st.pending.items[0]
+	for st.pending.len() > 0 {
+		head := st.pending.head()
 		alloc, ok := st.tryPlace(head.gangs, head.distinct)
 		if !ok {
 			return nil
 		}
-		j := heap.Pop(&st.pending).(pendingJob)
+		j := st.pending.pop()
 		st.take(alloc)
 		start := st.now
 		finish := start + j.q.Duration
@@ -383,7 +387,7 @@ func (st *state) schedule() error {
 		if finish > st.makespan {
 			st.makespan = finish
 		}
-		heap.Push(&st.events, event{time: finish, seq: st.seq, alloc: alloc})
+		st.events.push(event{time: finish, seq: st.seq, alloc: alloc})
 		st.seq++
 		if err := st.dispatch(Outcome{
 			Index: j.q.Index, Job: j.f, Times: j.times, Steps: j.steps,
@@ -479,8 +483,14 @@ func (st *state) tryPlace(gangs []int, distinct bool) ([]allocation, bool) {
 	if !ok {
 		return nil, false
 	}
-	// Merge same-server entries (non-distinct placements may stack gangs).
-	alloc := make([]allocation, 0, len(moves))
+	// Merge same-server entries (non-distinct placements may stack gangs)
+	// into a slice a finished job released, when there is one.
+	var alloc []allocation
+	if n := len(st.spare); n > 0 {
+		alloc, st.spare = st.spare[n-1], st.spare[:n-1]
+	} else {
+		alloc = make([]allocation, 0, len(moves))
+	}
 	for i, m := range moves {
 		if n := len(alloc); n > 0 && alloc[n-1].server == m.server {
 			alloc[n-1].gpus += gangs[i]
@@ -547,12 +557,12 @@ func (x *freeIndex) lowest(k int) int {
 
 // drain runs the simulation to completion after the last arrival.
 func (st *state) drain() error {
-	for st.events.Len() > 0 || st.pending.Len() > 0 {
-		if st.events.Len() == 0 {
+	for st.events.len() > 0 || st.pending.len() > 0 {
+		if st.events.len() == 0 {
 			// Admission screens every queue entry for feasibility on an
 			// empty cluster, so a stuck queue with no in-flight work is a
 			// bug, not a trace property.
-			return fmt.Errorf("replay: %d jobs pending with no running work (placement bug)", st.pending.Len())
+			return fmt.Errorf("replay: %d jobs pending with no running work (placement bug)", st.pending.len())
 		}
 		if err := st.advanceTo(st.events.items[0].time); err != nil {
 			return err
@@ -619,76 +629,4 @@ func sampleStraggler(seed int64, index int, fraction float64) bool {
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
 	return float64(x>>11)/(1<<53) < fraction
-}
-
-// pendingJob is one queued submission with everything placement and
-// dispatch need.
-type pendingJob struct {
-	q         sched.QueuedJob
-	f         workload.Features
-	times     core.Times
-	steps     int
-	gangs     []int
-	distinct  bool
-	straggler bool
-}
-
-// pendingHeap orders the queue by the run's policy, ties by submission
-// index — so even a policy whose Less considers two jobs equal yields a
-// deterministic queue.
-type pendingHeap struct {
-	policy sched.Policy
-	items  []pendingJob
-}
-
-func (h pendingHeap) Len() int { return len(h.items) }
-func (h pendingHeap) Less(i, j int) bool {
-	a, b := h.items[i].q, h.items[j].q
-	if h.policy.Less(a, b) {
-		return true
-	}
-	if h.policy.Less(b, a) {
-		return false
-	}
-	return a.Index < b.Index
-}
-func (h pendingHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *pendingHeap) Push(x any)   { h.items = append(h.items, x.(pendingJob)) }
-func (h *pendingHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	item := old[n-1]
-	old[n-1] = pendingJob{} // drop the slot's name and gang references
-	h.items = old[:n-1]
-	return item
-}
-
-// event is a job-finish event releasing GPUs back to servers.
-type event struct {
-	time  float64
-	seq   int
-	alloc []allocation
-}
-
-// eventHeap is a min-heap on completion time, ties by start sequence.
-type eventHeap struct {
-	items []event
-}
-
-func (h eventHeap) Len() int { return len(h.items) }
-func (h eventHeap) Less(i, j int) bool {
-	if h.items[i].time != h.items[j].time {
-		return h.items[i].time < h.items[j].time
-	}
-	return h.items[i].seq < h.items[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *eventHeap) Push(x any)   { h.items = append(h.items, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	item := old[n-1]
-	old[n-1] = event{} // drop the slot's allocation reference
-	h.items = old[:n-1]
-	return item
 }

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"container/heap"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -627,6 +628,218 @@ func TestIndexedPlacementMatchesLinearScan(t *testing.T) {
 			if placed == 0 || refused == 0 {
 				t.Errorf("servers=%d width=%d: %d placed, %d refused; want both", servers, width, placed, refused)
 			}
+		}
+	}
+}
+
+// refPendingHeap is the container/heap pending queue the replay used
+// before pendingQueue: whole pendingJobs boxed through any, ordered by the
+// policy, ties by submission index. It stays as the oracle pendingQueue
+// must pop in the same order.
+type refPendingHeap struct {
+	policy sched.Policy
+	items  []pendingJob
+}
+
+func (h refPendingHeap) Len() int { return len(h.items) }
+func (h refPendingHeap) Less(i, j int) bool {
+	a, b := h.items[i].q, h.items[j].q
+	if h.policy.Less(a, b) {
+		return true
+	}
+	if h.policy.Less(b, a) {
+		return false
+	}
+	return a.Index < b.Index
+}
+func (h refPendingHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *refPendingHeap) Push(x any)   { h.items = append(h.items, x.(pendingJob)) }
+func (h *refPendingHeap) Pop() any {
+	old := h.items
+	n := len(old)
+	item := old[n-1]
+	old[n-1] = pendingJob{}
+	h.items = old[:n-1]
+	return item
+}
+
+// refEventHeap is the container/heap completion queue eventHeap replaced:
+// a min-heap on time, ties by start sequence.
+type refEventHeap struct {
+	items []event
+}
+
+func (h refEventHeap) Len() int { return len(h.items) }
+func (h refEventHeap) Less(i, j int) bool {
+	if h.items[i].time != h.items[j].time {
+		return h.items[i].time < h.items[j].time
+	}
+	return h.items[i].seq < h.items[j].seq
+}
+func (h refEventHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *refEventHeap) Push(x any)   { h.items = append(h.items, x.(event)) }
+func (h *refEventHeap) Pop() any {
+	old := h.items
+	n := len(old)
+	item := old[n-1]
+	old[n-1] = event{}
+	h.items = old[:n-1]
+	return item
+}
+
+// queuedJob builds a pending job whose arrival, duration and GPU demand
+// come from a handful of values, so the policies see many ties and the index tiebreak
+// decides often.
+func queuedJob(rng *rand.Rand, index int) pendingJob {
+	gangs := make([]int, 1+rng.Intn(3))
+	for i := range gangs {
+		gangs[i] = 1 + rng.Intn(8)
+	}
+	return pendingJob{
+		q: sched.QueuedJob{
+			Index: index, Arrival: float64(rng.Intn(4)), Duration: float64(rng.Intn(4)),
+			GPUs: 1 + rng.Intn(4),
+		},
+		f:     workload.Features{Name: fmt.Sprintf("job-%d", index), CNodes: len(gangs), ArrivalSec: float64(index)},
+		times: core.Times{ComputeFLOPs: float64(index), WeightsByLink: map[hw.LinkClass]float64{hw.LinkPCIe: 1}},
+		steps: 1 + index%5, gangs: gangs, distinct: index%2 == 0, straggler: index%3 == 0,
+	}
+}
+
+// widestFirst is a test policy that leaves ties to the queue: it orders
+// by GPU demand alone, so unlike fifo and sjf it never compares indices
+// and the queue's own index tiebreak decides every tie.
+type widestFirst struct{}
+
+func (widestFirst) Name() string                   { return "widest-first" }
+func (widestFirst) Less(a, b sched.QueuedJob) bool { return a.GPUs > b.GPUs }
+
+// TestQueuesMatchContainerHeapOracle pushes and pops the typed queues and
+// the container/heap oracles in the same seeded random interleaving, in
+// bursts that grow the queues and drain them to empty, and asserts every
+// pop returns the same job or event, under fifo, sjf and a policy that
+// leaves every tie to the queue. Arrivals, durations, GPU demands and
+// event times are drawn from a few values so ties are the common case.
+func TestQueuesMatchContainerHeapOracle(t *testing.T) {
+	fifo, err := sched.NewPolicy(sched.FIFOName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sjf, err := sched.NewPolicy(sched.SJFName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed, pol := range []sched.Policy{fifo, sjf, widestFirst{}} {
+		t.Run(pol.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(seed)))
+			q, ref := pendingQueue{policy: pol}, refPendingHeap{policy: pol}
+			var evs eventHeap
+			var refEvs refEventHeap
+			next, seq, pops := 0, 0, 0
+			for step := 0; step < 40000; step++ {
+				popBias := 2 // out of 5: the queues grow
+				if step/2000%2 == 1 {
+					popBias = 4 // the queues shrink, often to empty
+				}
+				if q.len() > 0 && rng.Intn(5) < popBias {
+					got, want := q.pop(), heap.Pop(&ref).(pendingJob)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("step %d: pending pop = index %d, want index %d", step, got.q.Index, want.q.Index)
+					}
+					gotE, wantE := evs.pop(), heap.Pop(&refEvs).(event)
+					if !reflect.DeepEqual(gotE, wantE) {
+						t.Fatalf("step %d: event pop = (%v, %d), want (%v, %d)", step, gotE.time, gotE.seq, wantE.time, wantE.seq)
+					}
+					pops++
+					continue
+				}
+				j := queuedJob(rng, next)
+				next++
+				q.push(j)
+				heap.Push(&ref, j)
+				e := event{time: float64(rng.Intn(6)), seq: seq, alloc: []allocation{{server: seq % 7, gpus: 1}}}
+				seq++
+				evs.push(e)
+				heap.Push(&refEvs, e)
+				if q.len() != ref.Len() || evs.len() != refEvs.Len() {
+					t.Fatalf("step %d: lengths %d/%d, oracle %d/%d", step, q.len(), evs.len(), ref.Len(), refEvs.Len())
+				}
+			}
+			for q.len() > 0 {
+				if got, want := q.pop(), heap.Pop(&ref).(pendingJob); got.q.Index != want.q.Index {
+					t.Fatalf("drain: pending pop = index %d, want index %d", got.q.Index, want.q.Index)
+				}
+				if got, want := evs.pop(), heap.Pop(&refEvs).(event); got.seq != want.seq {
+					t.Fatalf("drain: event pop = seq %d, want seq %d", got.seq, want.seq)
+				}
+			}
+			if ref.Len() != 0 || refEvs.Len() != 0 || pops < 10000 {
+				t.Fatalf("oracle left %d/%d items after %d interleaved pops", ref.Len(), refEvs.Len(), pops)
+			}
+		})
+	}
+}
+
+// TestQueuesSteadyStateAllocFree warms a pending queue and an event heap
+// to a standing depth, then asserts a push+pop cycle allocates nothing and
+// every vacated slab slot is the zero pendingJob, so the slab pins no name,
+// gang slice or link map of a job that left the queue.
+func TestQueuesSteadyStateAllocFree(t *testing.T) {
+	pol, err := sched.NewPolicy(sched.SJFName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	const depth = 3 * slabPage / 2 // the slab spans two pages
+	jobs := make([]pendingJob, 2*depth)
+	allocs := make([][]allocation, len(jobs))
+	for i := range jobs {
+		jobs[i] = queuedJob(rng, i)
+		allocs[i] = []allocation{{server: i, gpus: 1}}
+	}
+	q := pendingQueue{policy: pol}
+	var evs eventHeap
+	for i := range jobs {
+		q.push(jobs[i])
+		evs.push(event{time: float64(i % 9), seq: i, alloc: allocs[i]})
+	}
+	for q.len() > depth {
+		q.pop()
+		evs.pop()
+	}
+
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		q.push(jobs[i%len(jobs)])
+		q.pop()
+		evs.push(event{time: float64(i % 9), seq: len(jobs) + i, alloc: allocs[i%len(allocs)]})
+		evs.pop()
+		i++
+	}); n != 0 {
+		t.Errorf("steady-state push+pop allocates %v times per cycle, want 0", n)
+	}
+
+	for q.len() > 0 {
+		slot := q.keys[0].slot
+		q.pop()
+		if !reflect.ValueOf(*q.job(slot)).IsZero() {
+			t.Fatalf("popped slot %d still holds %+v", slot, *q.job(slot))
+		}
+	}
+	if len(q.free) != int(q.slots) {
+		t.Fatalf("%d free slots after draining, %d handed out", len(q.free), q.slots)
+	}
+	for _, slot := range q.free {
+		if !reflect.ValueOf(*q.job(slot)).IsZero() {
+			t.Fatalf("free slot %d still holds %+v", slot, *q.job(slot))
+		}
+	}
+	for evs.len() > 0 {
+		evs.pop()
+	}
+	for i, e := range evs.items[:cap(evs.items)] {
+		if e.alloc != nil {
+			t.Fatalf("drained event heap slot %d still references allocation %v", i, e.alloc)
 		}
 	}
 }
